@@ -76,6 +76,13 @@ class LogProbMatrix:
 
     Every value is <= 0; rows of a matrix flagged `normalized` log-sum-exp
     to 0 within 1e-3 (synthetic fixtures may be unnormalized and say so).
+
+    Validation takes one row-wise max: NaN propagates through it, so the
+    same pass rejects NaN and values above 0.  Normalization is then checked
+    as the max-shifted log(sum(exp(row - max))) + max, summed in float64
+    from a float32 temporary, so no float64 copy of the matrix is made.  A
+    normalized matrix with an all -inf row (zero total probability) is
+    rejected.
     """
 
     values: np.ndarray
@@ -90,12 +97,18 @@ class LogProbMatrix:
         object.__setattr__(self, "values", arr)
         if arr.size == 0:
             return
-        if np.isnan(arr).any():
+        row_max = arr.max(axis=1)
+        top = float(row_max.max())
+        if math.isnan(top):
             raise InvalidValueError("log-prob matrix contains NaN")
-        if float(arr.max()) > 0.0:
+        if top > 0.0:
             raise InvalidValueError("log-prob matrix contains values above 0")
         if self.normalized:
-            lse = np.logaddexp.reduce(arr.astype(np.float64), axis=1)
+            if np.isneginf(row_max).any():
+                raise InvalidValueError("rows flagged normalized but one row is all -inf")
+            shifted = arr - row_max[:, None]
+            np.exp(shifted, out=shifted)
+            lse = np.log(shifted.sum(axis=1, dtype=np.float64)) + row_max
             if not np.all(np.abs(lse) <= 1e-3):
                 raise InvalidValueError("rows flagged normalized but log-sum-exp deviates from 0")
 
@@ -110,7 +123,12 @@ class LogProbMatrix:
 
 @dataclass(frozen=True)
 class SpotterConfig:
-    """Decoding hyperparameters; thresholds live in the natural-log domain."""
+    """Decoding hyperparameters; thresholds live in the natural-log domain.
+
+    NaN is rejected in every field and the weights must be finite.
+    Infinite thresholds stay legal: gamma_thr=-inf admits every first token
+    and beam_thr=inf keeps every hypothesis.
+    """
 
     cb_w: float = 3.0  # per-emission bonus for non-blank moves through the graph
     ctc_w: float = 0.5  # weight on greedy word scores when merging
@@ -120,6 +138,11 @@ class SpotterConfig:
     pruning_enabled: bool = True  # False: oracle mode, no pruning and no thresholds
 
     def __post_init__(self) -> None:
+        for name in ("cb_w", "ctc_w", "beta_thr", "gamma_thr", "beam_thr"):
+            if math.isnan(getattr(self, name)):
+                raise InvalidValueError(f"{name} must not be NaN")
+        if math.isinf(self.cb_w) or math.isinf(self.ctc_w):
+            raise InvalidValueError("cb_w and ctc_w must be finite")
         if self.ctc_w < 0:
             raise InvalidValueError("ctc_w must be >= 0")
         if self.beta_thr > 0 or self.gamma_thr > 0:

@@ -69,10 +69,6 @@ class ContextGraph:
     blank_id: int | None = None
 
     @property
-    def root(self) -> int:
-        return ROOT
-
-    @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import LogProbMatrix, SpotterConfig
 from .errors import DimensionMismatchError, InvalidValueError
 from .graph import ROOT, ContextGraph
@@ -48,6 +50,15 @@ def spot(
     resolution is find_best_hyps' job.  With cfg.pruning_enabled False the
     search is exhaustive (no beam or state pruning, no thresholds) and the
     best score per candidate equals the brute-force oracle's.
+
+    Two shortcuts leave the pruned result unchanged.  The first-token gate
+    selects the admitted root children with one vectorized comparison,
+    made in float64 as the scalar test was (NumPy 2 would compare a
+    float32 row with a Python float in float32) and in ascending token
+    order.  And since the fresh empty hypothesis scores 0, a frame's beam
+    cutoff is never below -beam_thr: a move scoring less is never offered
+    for state merging, which it could only lose or win with a score the
+    beam then drops.  End-of-word moves are recorded either way.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -66,13 +77,16 @@ def spot(
     node_end = [n.is_end_of_word for n in nodes]
     node_entry = [n.entry_id for n in nodes]
     child_items = [sorted(n.children.items()) for n in nodes]
-    root_children = child_items[ROOT]
+    root_tokens = np.array([tok for tok, _ in child_items[ROOT]], dtype=np.intp)
+    root_nodes = [child for _, child in child_items[ROOT]]
 
     pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
     beta = cfg.beta_thr
-    gamma = cfg.gamma_thr
     beam = cfg.beam_thr
+    # without pruning every first token is admitted and no move is discarded
+    gamma = cfg.gamma_thr if pruning else -math.inf
+    floor = -beam if pruning else -math.inf
 
     # (entry_id, start, end) -> best score seen for that candidate
     spotted: dict[tuple[int, int, int], float] = {}
@@ -86,13 +100,14 @@ def spot(
         current: dict[tuple, Hypothesis] = {}
 
         if not (pruning and blank_lp > beta):
-            # expand the fresh empty hypothesis into first tokens
-            for tok, child in root_children:
-                lp = float(row[tok])
-                if pruning and lp < gamma:
-                    continue
+            # expand the fresh empty hypothesis into the admitted first tokens
+            first = row[root_tokens].astype(np.float64)
+            admitted = np.flatnonzero(first >= gamma)
+            for i, lp in zip(admitted.tolist(), first[admitted].tolist()):
+                child = root_nodes[i]
                 score = lp + cb_w
-                _offer(current, pruning, child, False, score, t)
+                if score >= floor:
+                    _offer(current, pruning, child, False, score, t)
                 if node_end[child]:
                     _record(spotted, node_entry[child], t, t, score)
 
@@ -100,19 +115,23 @@ def spot(
             node = hyp.node
             base = hyp.score
             start = hyp.start_frame
-            _offer(current, pruning, node, True, base + blank_lp, start)
+            score = base + blank_lp
+            if score >= floor:
+                _offer(current, pruning, node, True, score, start)
             tok = node_token[node]
             if not hyp.blank_seen:
                 # re-emit and stay: continues the current emission run
                 score = base + float(row[tok]) + cb_w
-                _offer(current, pruning, node, False, score, start)
+                if score >= floor:
+                    _offer(current, pruning, node, False, score, start)
                 if node_end[node]:
                     _record(spotted, node_entry[node], start, t, score)
             for ctok, child in child_items[node]:
                 if ctok == tok and not hyp.blank_seen:
                     continue  # a repeated label needs a separating blank
                 score = base + float(row[ctok]) + cb_w
-                _offer(current, pruning, child, False, score, start)
+                if score >= floor:
+                    _offer(current, pruning, child, False, score, start)
                 if node_end[child]:
                     _record(spotted, node_entry[child], start, t, score)
 

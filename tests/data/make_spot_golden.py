@@ -1,0 +1,168 @@
+"""Record the golden `spot` fixture that tests/test_spotter.py replays.
+
+Writes two normalized matrices and one JSON file next to this script:
+
+- spot_golden_bpe.bin: 200 frames over an 80-token marker-piece (BPE-style)
+  inventory, blank-dominated between planted clean and garbled biasing
+  words and fillers.
+- spot_golden_char.bin: 40 high-entropy frames over 28 character tokens.
+- spot_golden.json: per case, the biasing entries as token-id sequences, the
+  blank id, the spotter config and the pruned `spot` candidates as
+  (entry id, start frame, end frame, score).
+
+The matrices are stored rather than regenerated so that the replay does
+not depend on how a platform rounds `exp` and `log`.  The candidates were
+recorded with the spotter that looped over every root child in Python and
+offered every move to state merging; a later spotter must reproduce them
+exactly.  Run from the repository root:
+
+    PYTHONPATH=src python tests/data/make_spot_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+
+from ctcspot import (
+    BiasingEntry,
+    LogProbMatrix,
+    SpotterConfig,
+    Vocabulary,
+    build_graph,
+    load_logprobs,
+    spot,
+    tokenize,
+    write_logprobs,
+)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+MARKER = "▁"
+
+
+def _normalize(probs: np.ndarray) -> np.ndarray:
+    values = np.log(probs)
+    values -= np.logaddexp.reduce(values, axis=1, keepdims=True)
+    return values.astype(np.float32)
+
+
+def _words(rng, count: int, lo: int, hi: int) -> list[str]:
+    seen: set[str] = set()
+    out: list[str] = []
+    while len(out) < count:
+        n = int(rng.integers(lo, hi + 1))
+        word = "".join(LETTERS[i] for i in rng.integers(0, 26, size=n))
+        if word not in seen:
+            seen.add(word)
+            out.append(word)
+    return out
+
+
+def _entries(words: list[str], vocab: Vocabulary) -> list[BiasingEntry]:
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for word in words:
+        seq = tuple(tokenize(word, vocab))
+        if seq not in seen:
+            seen.add(seq)
+            out.append(BiasingEntry(canonical=word, transcriptions=(seq,)))
+    return out
+
+
+def _plant(rng, probs, blank: int, at: int, seq, garble: bool) -> int:
+    """Write one word's token frames into `probs` from frame `at`; return the next frame."""
+    width = probs.shape[1]
+    for k, tok in enumerate(seq):
+        if k and tok == seq[k - 1]:
+            at += 1  # the silence row already between repeats
+        for _ in range(int(rng.integers(1, 3))):
+            peak = float(rng.uniform(0.45, 0.95))
+            row = rng.exponential(size=width)
+            row[blank] = 0.0
+            row[tok] = 0.0
+            row *= (1.0 - peak - 0.04) / row.sum()
+            row[blank] = 0.04
+            target = tok
+            if garble and k == len(seq) // 2:
+                target = int(rng.integers(0, blank))
+                row[tok] += peak * 0.3
+                peak *= 0.7
+            row[target] += peak
+            probs[at] = row
+            at += 1
+    return at
+
+
+def bpe_case(rng) -> tuple[np.ndarray, list[BiasingEntry], int]:
+    bigrams = [a + b for a in LETTERS for b in LETTERS]
+    picks = rng.choice(len(bigrams), 27, replace=False)
+    tokens = [MARKER + c for c in LETTERS] + list(LETTERS)
+    tokens += [bigrams[i] for i in picks[:20]] + [MARKER + bigrams[i] for i in picks[20:]]
+    tokens.append("<b>")
+    vocab = Vocabulary(tokens=tuple(tokens), blank_id=len(tokens) - 1)
+    blank = vocab.blank_id
+    entries = _entries(_words(rng, 200, 4, 9), vocab)
+    fillers = _words(rng, 200, 2, 6)
+
+    frames = 200
+    probs = np.empty((frames, len(tokens)))
+    for t in range(frames):  # silence: blank-dominated rows
+        row = rng.exponential(size=len(tokens))
+        row[blank] = 0.0
+        row *= 0.06 / row.sum()
+        row[blank] = 0.94
+        probs[t] = row
+    at = 2
+    while at < frames - 30:
+        pick = rng.random()
+        if pick < 0.4:
+            seq = entries[int(rng.integers(0, len(entries)))].transcriptions[0]
+        else:
+            seq = tokenize(fillers[int(rng.integers(0, len(fillers)))], vocab)
+        at = _plant(rng, probs, blank, at, seq, garble=0.2 < pick < 0.4)
+        at += int(rng.integers(1, 8))
+    return _normalize(probs), entries, blank
+
+
+def char_case(rng) -> tuple[np.ndarray, list[BiasingEntry], int]:
+    vocab = Vocabulary(tokens=tuple(LETTERS) + (" ", "<b>"), blank_id=27)
+    entries = _entries(_words(rng, 500, 3, 6), vocab)
+    frames = 40
+    logits = rng.normal(size=(frames, 28)) * 2.0
+    logits[:, 27] += 1.0
+    return _normalize(np.exp(logits)), entries, vocab.blank_id
+
+
+def main() -> None:
+    cfg = SpotterConfig()
+    cases = {}
+    for name, build, seed in (("bpe", bpe_case, 2406), ("char", char_case, 7096)):
+        values, entries, blank = build(np.random.default_rng(seed))
+        path = os.path.join(HERE, f"spot_golden_{name}.bin")
+        write_logprobs(LogProbMatrix(values=values, normalized=True), path)
+        graph = build_graph(entries, blank_id=blank)
+        cands = spot(load_logprobs(path), graph, cfg)
+        cases[name] = {
+            "matrix": os.path.basename(path),
+            "blank_id": blank,
+            "config": {
+                "cb_w": cfg.cb_w,
+                "beta_thr": cfg.beta_thr,
+                "gamma_thr": cfg.gamma_thr,
+                "beam_thr": cfg.beam_thr,
+            },
+            "entries": [[e.canonical, list(e.transcriptions[0])] for e in entries],
+            "candidates": [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in cands],
+        }
+        print(f"{name}: {values.shape[0]}x{values.shape[1]}, "
+              f"{len(entries)} entries, {len(cands)} candidates")
+    with open(os.path.join(HERE, "spot_golden.json"), "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, ensure_ascii=False, separators=(",", ":"))
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

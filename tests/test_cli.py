@@ -184,6 +184,20 @@ class TestDecode:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beam-thr", "nan", "beam_thr must not be NaN"),
+            ("--gamma-thr", "nan", "gamma_thr must not be NaN"),
+            ("--cb-w", "inf", "cb_w and ctc_w must be finite"),
+        ],
+    )
+    def test_non_finite_config_is_usage_error(self, corpus, capsys, flag, value, message):
+        code, out = self.decode(corpus, extra=[flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"ctcspot decode: error: {message}\n"
+        assert not out.exists()
+
     def test_no_pruning_flag_accepted(self, corpus):
         code, out = self.decode(corpus, extra=["--no-pruning"])
         assert code == 0

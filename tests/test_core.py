@@ -81,6 +81,81 @@ class TestLogProbMatrix:
         )
         assert m.frames == 1
 
+    def test_normalized_rejects_all_neg_inf_row(self):
+        values = np.array([[0.0, -np.inf], [-np.inf, -np.inf]], dtype=np.float32)
+        with pytest.raises(InvalidValueError, match="all -inf"):
+            LogProbMatrix(values=values, normalized=True)
+        LogProbMatrix(values=values, normalized=False)  # no mass claimed, no check
+
+    def test_rejects_nan_beside_larger_values(self):
+        values = np.array([[-0.7, -0.7, -np.inf], [-0.1, -2.3, np.nan]], dtype=np.float32)
+        for normalized in (False, True):
+            with pytest.raises(InvalidValueError, match="NaN"):
+                LogProbMatrix(values=values, normalized=normalized)
+
+    def test_rejects_pos_inf(self):
+        values = np.array([[-1.0, -2.0], [np.inf, -np.inf]], dtype=np.float32)
+        for normalized in (False, True):
+            with pytest.raises(InvalidValueError, match="above 0"):
+                LogProbMatrix(values=values, normalized=normalized)
+
+    @staticmethod
+    def shifted_rows(offset: float) -> np.ndarray:
+        """Three proper rows; the middle one's log-sum-exp is moved to `offset`."""
+        values = np.log(np.array([[0.5, 0.25, 0.25], [0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]))
+        values[1] += offset
+        return values.astype(np.float32)
+
+    @pytest.mark.parametrize("offset", [5e-4, -5e-4])
+    def test_normalized_tolerance_accepts(self, offset):
+        LogProbMatrix(values=self.shifted_rows(offset), normalized=True)
+
+    @pytest.mark.parametrize("offset", [2e-3, -2e-3])
+    def test_normalized_tolerance_rejects(self, offset):
+        with pytest.raises(InvalidValueError, match="log-sum-exp"):
+            LogProbMatrix(values=self.shifted_rows(offset), normalized=True)
+
+    def test_unnormalized_rows_need_not_sum_to_one(self):
+        values = np.log(np.array([[0.1, 0.2], [0.01, 0.02], [1.0, 1.0]], dtype=np.float32))
+        m = LogProbMatrix(values=values, normalized=False)
+        assert m.frames == 3
+
+    def test_decisions_match_logaddexp_reference(self):
+        def reference_accepts(values: np.ndarray, normalized: bool) -> bool:
+            if np.isnan(values).any() or values.max() > 0:
+                return False
+            if normalized:
+                lse = np.logaddexp.reduce(values.astype(np.float64), axis=1)
+                return bool(np.all(np.abs(lse) <= 1e-3))
+            return True
+
+        rng = np.random.default_rng(2406)
+        outcomes = set()
+        for _ in range(400):
+            frames, width = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            values = log_softmax_rows(rng.normal(size=(frames, width)) * rng.uniform(0.5, 8))
+            # shift rows around the tolerance, keeping clear of its edge
+            shifts = rng.choice([0.0, 4e-4, -4e-4, 1.5e-3, -1.5e-3, -0.5], size=frames)
+            values += shifts[:, None].astype(np.float32)
+            if rng.random() < 0.3:
+                values[rng.random(values.shape) < 0.3] = -np.inf
+            if rng.random() < 0.1:
+                values[int(rng.integers(frames))] = -np.inf
+            if rng.random() < 0.05:
+                values[int(rng.integers(frames)), int(rng.integers(width))] = np.nan
+            if rng.random() < 0.05:
+                values[int(rng.integers(frames)), int(rng.integers(width))] = np.inf
+            normalized = bool(rng.random() < 0.7)
+            want = reference_accepts(values, normalized)
+            try:
+                LogProbMatrix(values=values, normalized=normalized)
+                got = True
+            except InvalidValueError:
+                got = False
+            assert got == want
+            outcomes.add((normalized, want))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
 
 class TestSpotterConfig:
     def test_defaults(self):
@@ -105,6 +180,21 @@ class TestSpotterConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidValueError):
             SpotterConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["cb_w", "ctc_w", "beta_thr", "gamma_thr", "beam_thr"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(InvalidValueError, match=f"{field} must not be NaN"):
+            SpotterConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["cb_w", "ctc_w"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_rejects_infinite_weights(self, field, value):
+        with pytest.raises(InvalidValueError):
+            SpotterConfig(**{field: value})
+
+    def test_infinite_thresholds_stay_legal(self):
+        cfg = SpotterConfig(beta_thr=-math.inf, gamma_thr=-math.inf, beam_thr=math.inf)
+        assert cfg.gamma_thr == -math.inf and cfg.beam_thr == math.inf
 
 
 class TestVocabularyFile:

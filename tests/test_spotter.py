@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ctcspot import (
     Vocabulary,
     build_graph,
     find_best_hyps,
+    load_logprobs,
     spot,
 )
 from ctcspot.oracle import best_path_score
@@ -152,6 +155,33 @@ class TestPruning:
         assert ("b", 0, 0) in pruned
         assert ("bc", 0, 2) in full
         assert ("bc", 0, 2) not in pruned
+        # with no beam the floor is -inf too and discards nothing
+        wide = spot(lp, graph, SpotterConfig(beam_thr=math.inf))
+        assert ("bc", 0, 2) in {(c.word, c.start_frame, c.end_frame) for c in wide}
+
+    @pytest.mark.parametrize("nudge", [1e-9, -1e-9])
+    def test_first_token_gate_compares_in_float64(self, nudge):
+        # float32 cannot tell the log-prob from gamma_thr; float64 can, and
+        # admits the token exactly when it is not below the threshold
+        lp32 = np.float32(-3.0)
+        gamma = float(lp32) + nudge
+        assert np.float32(gamma) == lp32
+        values = np.array([[math.log(0.5), lp32]], dtype=np.float32)
+        _, graph = entries_graph((1,))
+        got = spot(LogProbMatrix(values=values), graph, SpotterConfig(gamma_thr=gamma))
+        assert len(got) == (1 if float(lp32) >= gamma else 0)
+
+    def test_floor_discard_keeps_end_of_word_records(self):
+        # both candidates score below -beam_thr: the moves that end them are
+        # never offered to the next frame, yet each is still reported
+        cfg = SpotterConfig(cb_w=0.0, gamma_thr=-math.inf)
+        lp = probs_matrix([[0.4, 0.6 - 1e-5, 1e-5], [0.5, 0.5 - 1e-6, 1e-6]])
+        _, graph = entries_graph((2,), (1, 2))
+        got = {(c.entry_id, c.start_frame, c.end_frame): c.score for c in spot(lp, graph, cfg)}
+        for key, labels in (((0, 0, 0), [2]), ((1, 0, 1), [1, 2])):
+            assert got[key] < -cfg.beam_thr
+            want = best_path_score(lp, key[1:], labels, cfg.cb_w, blank_id=0)
+            assert got[key] == pytest.approx(want)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -159,6 +189,28 @@ class TestPruning:
         _, graph = entries_graph((1, 2), (3,), (2, 4, 1))
         for cfg in (SpotterConfig(), EXHAUSTIVE):
             assert spot(lp, graph, cfg) == spot(lp, graph, cfg)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+class TestGolden:
+    """Pruned candidates recorded by tests/data/make_spot_golden.py stay identical."""
+
+    @pytest.mark.parametrize("case", ["bpe", "char"])
+    def test_pruned_candidates_unchanged(self, case):
+        with open(os.path.join(GOLDEN, "spot_golden.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)[case]
+        entries = [
+            BiasingEntry(canonical=word, transcriptions=(tuple(seq),))
+            for word, seq in golden["entries"]
+        ]
+        graph = build_graph(entries, blank_id=golden["blank_id"])
+        lp = load_logprobs(os.path.join(GOLDEN, golden["matrix"]))
+        got = spot(lp, graph, SpotterConfig(**golden["config"]))
+        assert [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in got] == (
+            golden["candidates"]
+        )
 
 
 class TestValidation:
