@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbMatrix, Vocabulary
+from .core import LogProbMatrix, Vocabulary, read_text
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -132,27 +132,26 @@ def load_transducer_alignment(path: str) -> WordAlignment:
     own).  Overlapping, unsorted, or negative intervals are rejected.
     """
     words: list[AlignedWord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
-            if not isinstance(row, dict) or not {"word", "start_frame", "end_frame"} <= row.keys():
-                raise FormatError(f"{path}:{lineno}: rows need word/start_frame/end_frame")
-            word = row["word"]
-            if not isinstance(word, str) or not word:
-                raise InvalidValueError(f"{path}:{lineno}: empty word")
-            try:
-                start = int(row["start_frame"])
-                end = int(row["end_frame"])
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: frames must be integers") from exc
-            score = row.get("score")
-            score = float(score) if score is not None else -math.inf
-            words.append(AlignedWord(word=word, start_frame=start, end_frame=end, score=score))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
+        if not isinstance(row, dict) or not {"word", "start_frame", "end_frame"} <= row.keys():
+            raise FormatError(f"{path}:{lineno}: rows need word/start_frame/end_frame")
+        word = row["word"]
+        if not isinstance(word, str) or not word:
+            raise InvalidValueError(f"{path}:{lineno}: empty word")
+        try:
+            start = int(row["start_frame"])
+            end = int(row["end_frame"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: frames must be integers") from exc
+        score = row.get("score")
+        score = float(score) if score is not None else -math.inf
+        words.append(AlignedWord(word=word, start_frame=start, end_frame=end, score=score))
     frames = max((w.end_frame for w in words), default=-1) + 1
     return WordAlignment(words=tuple(words), frames=frames)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Vocabulary
+from .core import Vocabulary, read_text
 from .errors import InvalidValueError, UnsegmentableError
 from .graph import BiasingEntry, tokenize
 
@@ -62,13 +62,12 @@ def load_wordlist(path: str) -> WordCostDictionary:
     """Read a frequency-ranked word list (one word per line, best first)."""
     words: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if not word or word in seen:
-                continue
-            seen.add(word)
-            words.append(word)
+    for line in read_text(path).split("\n"):
+        word = line.strip().lower()
+        if not word or word in seen:
+            continue
+        seen.add(word)
+        words.append(word)
     return WordCostDictionary(words=tuple(words))
 
 
@@ -110,6 +109,26 @@ def compound_split(word: str, dictionary: WordCostDictionary) -> str | None:
     return " ".join(reversed(pieces))
 
 
+def spelling_variants(
+    word: str,
+    dictionary: WordCostDictionary | None,
+    manual: Iterable[str],
+    auto_alts: bool,
+) -> list[str]:
+    """Every spelling of a word, in order: the word itself, its abbreviation
+    split, its compound split (when a dictionary is given), then the manual
+    spellings.  Manual spellings are trimmed and lowercased; empty and
+    repeated strings are dropped, first occurrence wins.
+    """
+    variants: list[str | None] = [word]
+    if auto_alts:
+        variants.append(abbreviation_variant(word))
+        if dictionary is not None:
+            variants.append(compound_split(word, dictionary))
+    variants.extend(alt.strip().lower() for alt in manual)
+    return [v for v in dict.fromkeys(variants) if v]
+
+
 def expand_entries(
     words: Iterable[str],
     vocab: Vocabulary,
@@ -119,11 +138,10 @@ def expand_entries(
 ) -> list[BiasingEntry]:
     """Build biasing entries with every usable transcription variant.
 
-    Variants per word, in order: the word itself, its abbreviation split,
-    its compound split (when a dictionary is given), then manual spellings.
-    Variants that fail to tokenize are skipped with a warning; a word whose
-    primary spelling fails drops the whole entry.  Duplicate words and
-    duplicate token sequences are dropped, first occurrence wins.
+    Variants per word are spelling_variants' list.  Variants that fail to
+    tokenize are skipped with a warning; a word whose primary spelling
+    fails drops the whole entry.  Duplicate words and duplicate token
+    sequences are dropped, first occurrence wins.
     """
     manual = manual_alts or {}
     entries: list[BiasingEntry] = []
@@ -133,23 +151,12 @@ def expand_entries(
         if not word or word in done:
             continue
         done.add(word)
-        variants = [word]
-        if auto_alts:
-            abbr = abbreviation_variant(word)
-            if abbr is not None:
-                variants.append(abbr)
-            if dictionary is not None:
-                comp = compound_split(word, dictionary)
-                if comp is not None:
-                    variants.append(comp)
-        variants.extend(alt.strip().lower() for alt in manual.get(word, ()))
+        variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
 
         transcriptions: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         dropped = False
         for k, variant in enumerate(variants):
-            if not variant:
-                continue
             try:
                 seq = tuple(tokenize(variant, vocab))
             except UnsegmentableError as exc:
@@ -175,31 +182,28 @@ def load_context_list(path: str) -> list[tuple[str, tuple[str, ...]]]:
     lowercased and trimmed.
     """
     rows: list[tuple[str, tuple[str, ...]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = [p.strip().lower() for p in line.split("\t")]
-            canonical = parts[0]
-            if not canonical:
-                continue
-            rows.append((canonical, tuple(p for p in parts[1:] if p)))
+    for line in read_text(path).split("\n"):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = [p.strip().lower() for p in line.split("\t")]
+        canonical = parts[0]
+        if not canonical:
+            continue
+        rows.append((canonical, tuple(p for p in parts[1:] if p)))
     return rows
+
+
+def collect_alts(rows: Iterable[tuple[str, Sequence[str]]]) -> dict[str, tuple[str, ...]]:
+    """Alternative spellings per word from (word, alts) rows, accumulated
+    over repeated words in row order; words without alternatives are left out.
+    """
+    alts: dict[str, list[str]] = {}
+    for word, spellings in rows:
+        if spellings:
+            alts.setdefault(word, []).extend(spellings)
+    return {w: tuple(s) for w, s in alts.items()}
 
 
 def load_manual_alts(path: str) -> dict[str, tuple[str, ...]]:
     """Read manual alternative spellings: word[TAB alt]+ per line."""
-    alts: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = [p.strip().lower() for p in line.split("\t")]
-            word = parts[0]
-            spellings = [p for p in parts[1:] if p]
-            if not word or not spellings:
-                continue
-            alts.setdefault(word, []).extend(spellings)
-    return {w: tuple(s) for w, s in alts.items()}
+    return collect_alts(load_context_list(path))

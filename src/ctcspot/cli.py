@@ -7,6 +7,7 @@ entries failed while the rest were processed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -20,21 +21,23 @@ import numpy as np
 
 from .align import WordAlignment, greedy_ctc_align, load_transducer_alignment
 from .alts import (
-    abbreviation_variant,
-    compound_split,
+    WordCostDictionary,
+    collect_alts,
     expand_entries,
     load_context_list,
-    load_manual_alts,
     load_wordlist,
+    spelling_variants,
 )
 from .core import (
     DEFAULT_BOUNDARY_MARKER,
+    LogProbMatrix,
     SpotterConfig,
     UtteranceRecord,
     Vocabulary,
     load_logprobs,
     load_manifest,
     load_vocabulary,
+    read_text,
 )
 from .errors import DataError, DimensionMismatchError, FormatError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
@@ -146,26 +149,32 @@ def _load_vocab(args: argparse.Namespace) -> Vocabulary:
     )
 
 
-def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
-    """Context-list rows plus file-level manual alts, expanded to entries."""
+def _read_lists(
+    args: argparse.Namespace,
+) -> tuple[list[str], dict[str, tuple[str, ...]], WordCostDictionary | None]:
+    """The context list's words in first-seen order, their manual spellings
+    and the cost dictionary.
+
+    A word's manual spellings are its context-list alternatives, accumulated
+    over repeated rows, then those from --manual-alts.
+    """
     rows = load_context_list(args.context_list)
-    manual: dict[str, list[str]] = {}
-    for canonical, alts in rows:
-        if alts:
-            manual.setdefault(canonical, []).extend(alts)
-    if args.manual_alts:
-        for word, alts in load_manual_alts(args.manual_alts).items():
-            manual.setdefault(word, []).extend(alts)
+    extra = load_context_list(args.manual_alts) if args.manual_alts else []
     dictionary = load_wordlist(args.wordlist) if args.wordlist else None
+    return list(dict.fromkeys(c for c, _ in rows)), collect_alts(rows + extra), dictionary
+
+
+def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
+    """Context-list words and their spellings, expanded to entries."""
+    words, manual, dictionary = _read_lists(args)
     entries = expand_entries(
-        (c for c, _ in rows),
+        words,
         vocab,
         dictionary=dictionary,
         manual_alts=manual,
         auto_alts=not args.no_auto_alts,
     )
-    requested = len({c for c, _ in rows})
-    return entries, requested
+    return entries, len(words)
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
@@ -206,6 +215,16 @@ def _decode_task(item: tuple[int, UtteranceRecord]):
         return idx, None, 0.0, f"{record.utterance_id}: {exc}"
 
 
+def _load_matrix(path: str, vocab: Vocabulary) -> LogProbMatrix:
+    """Load a log-prob matrix and check its width against the vocabulary."""
+    lp = load_logprobs(path)
+    if lp.vocab_size != vocab.size:
+        raise DimensionMismatchError(
+            f"{path}: {lp.vocab_size} columns != vocabulary size {vocab.size}"
+        )
+    return lp
+
+
 def _decode_utterance(
     record: UtteranceRecord,
     vocab: Vocabulary,
@@ -218,11 +237,7 @@ def _decode_utterance(
     The timer covers spotting, alignment, and merging only; file loads stay
     outside it.
     """
-    lp = load_logprobs(record.logprob_path)
-    if lp.vocab_size != vocab.size:
-        raise DimensionMismatchError(
-            f"{record.logprob_path}: {lp.vocab_size} columns != vocabulary size {vocab.size}"
-        )
+    lp = _load_matrix(record.logprob_path, vocab)
     transducer: WordAlignment | None = None
     if mode == "transducer":
         if not record.transducer_alignment_path:
@@ -288,27 +303,23 @@ def cmd_decode(args: argparse.Namespace) -> int:
     failures: list[str] = []
     total_seconds = 0.0
     tasks = list(enumerate(records))
-    if args.workers <= 1:
-        _init_worker(vocab, graph, cfg, args.mode)
-        results = map(_decode_task, tasks)
+    with contextlib.ExitStack() as stack:
+        if args.workers <= 1:
+            _init_worker(vocab, graph, cfg, args.mode)
+            results = map(_decode_task, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=args.workers,
+                initializer=_init_worker,
+                initargs=(vocab, graph, cfg, args.mode),
+            ))
+            results = pool.map(_decode_task, tasks)
         for idx, row, elapsed, error in results:
             if error is not None:
                 failures.append(error)
             else:
                 rows[idx] = row
                 total_seconds += elapsed
-    else:
-        with ProcessPoolExecutor(
-            max_workers=args.workers,
-            initializer=_init_worker,
-            initargs=(vocab, graph, cfg, args.mode),
-        ) as pool:
-            for idx, row, elapsed, error in pool.map(_decode_task, tasks):
-                if error is not None:
-                    failures.append(error)
-                else:
-                    rows[idx] = row
-                    total_seconds += elapsed
 
     done = sum(r is not None for r in rows)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -328,18 +339,19 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     hyps: dict[str, str] = {}
-    with open(args.results, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{args.results}:{lineno}: invalid JSON") from exc
-            if not isinstance(row, dict) or "id" not in row or "merged_text" not in row:
-                raise FormatError(f"{args.results}:{lineno}: rows need 'id' and 'merged_text'")
-            hyps[row["id"]] = row["merged_text"]
+    for lineno, line in enumerate(read_text(args.results).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{args.results}:{lineno}: invalid JSON") from exc
+        if not isinstance(row, dict) or "id" not in row or "merged_text" not in row:
+            raise FormatError(f"{args.results}:{lineno}: rows need 'id' and 'merged_text'")
+        if row["id"] in hyps:
+            raise InvalidValueError(f"{args.results}:{lineno}: duplicate result id {row['id']!r}")
+        hyps[row["id"]] = row["merged_text"]
 
     pairs: list[tuple[str, str]] = []
     unscored = 0
@@ -384,11 +396,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
         try:
             if record.text is None:
                 raise InvalidValueError("no reference text")
-            lp = load_logprobs(record.logprob_path)
-            if lp.vocab_size != vocab.size:
-                raise DimensionMismatchError(
-                    f"{lp.vocab_size} columns != vocabulary size {vocab.size}"
-                )
+            lp = _load_matrix(record.logprob_path, vocab)
             pairs.append((record.text, greedy_ctc_align(lp, vocab).text))
         except Exception as exc:
             failures.append(f"{record.utterance_id}: {exc}")
@@ -405,34 +413,13 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_alts(args: argparse.Namespace) -> int:
-    rows = load_context_list(args.context_list)
-    dictionary = load_wordlist(args.wordlist) if args.wordlist else None
-    manual = load_manual_alts(args.manual_alts) if args.manual_alts else {}
-    seen: set[str] = set()
-    lines: list[str] = []
-    for canonical, file_alts in rows:
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        alts: list[str] = []
-
-        def add(spelling: str | None) -> None:
-            if spelling and spelling != canonical and spelling not in alts:
-                alts.append(spelling)
-
-        if not args.no_auto_alts:
-            add(abbreviation_variant(canonical))
-            if dictionary is not None:
-                add(compound_split(canonical, dictionary))
-        for alt in file_alts:
-            add(alt)
-        for alt in manual.get(canonical, ()):
-            add(alt)
-        lines.append("\t".join([canonical, *alts]))
+    words, manual, dictionary = _read_lists(args)
+    auto_alts = not args.no_auto_alts
     with open(args.output, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    print(f"wrote {len(lines)} entries -> {args.output}")
+        for word in words:
+            variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
+            fh.write("\t".join(variants) + "\n")
+    print(f"wrote {len(words)} entries -> {args.output}")
     return 0
 
 

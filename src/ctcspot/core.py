@@ -161,6 +161,19 @@ class UtteranceRecord:
     transducer_alignment_path: str | None = None
 
 
+def read_text(path: str) -> str:
+    """Contents of a UTF-8 text file, newlines translated as text mode does.
+
+    Raises:
+        FormatError: the file is not valid UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 text") from exc
+
+
 def load_vocabulary(
     path: str,
     blank_id: int | None = None,
@@ -176,8 +189,7 @@ def load_vocabulary(
     Returns:
         The validated Vocabulary.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     for i, tok in enumerate(lines):
@@ -252,32 +264,31 @@ def load_manifest(path: str) -> list[UtteranceRecord]:
     base = os.path.dirname(os.path.abspath(path))
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
-            if not isinstance(row, dict) or "id" not in row or "logprobs" not in row:
-                raise FormatError(f"{path}:{lineno}: manifest rows need 'id' and 'logprobs'")
-            uid = row["id"]
-            if not isinstance(uid, str) or not uid:
-                raise InvalidValueError(f"{path}:{lineno}: utterance id must be a non-empty string")
-            if uid in seen:
-                raise InvalidValueError(f"{path}:{lineno}: duplicate utterance id {uid!r}")
-            seen.add(uid)
-            tali = row.get("transducer_alignment")
-            records.append(
-                UtteranceRecord(
-                    utterance_id=uid,
-                    logprob_path=_resolve(base, row["logprobs"]),
-                    text=row.get("text"),
-                    transducer_alignment_path=_resolve(base, tali) if tali else None,
-                )
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
+        if not isinstance(row, dict) or "id" not in row or "logprobs" not in row:
+            raise FormatError(f"{path}:{lineno}: manifest rows need 'id' and 'logprobs'")
+        uid = row["id"]
+        if not isinstance(uid, str) or not uid:
+            raise InvalidValueError(f"{path}:{lineno}: utterance id must be a non-empty string")
+        if uid in seen:
+            raise InvalidValueError(f"{path}:{lineno}: duplicate utterance id {uid!r}")
+        seen.add(uid)
+        tali = row.get("transducer_alignment")
+        records.append(
+            UtteranceRecord(
+                utterance_id=uid,
+                logprob_path=_resolve(base, row["logprobs"]),
+                text=row.get("text"),
+                transducer_alignment_path=_resolve(base, tali) if tali else None,
             )
+        )
     return records
 
 

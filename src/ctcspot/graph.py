@@ -55,9 +55,12 @@ class BiasingEntry:
 class _Node:
     token_id: int  # -1 at the root
     parent: int
-    is_end_of_word: bool = False
-    entry_id: int = -1
+    entry_id: int = -1  # the entry this node ends, -1 if it ends none
     children: dict[int, int] = field(default_factory=dict)  # token id -> node index
+
+    @property
+    def is_end_of_word(self) -> bool:
+        return self.entry_id >= 0
 
 
 @dataclass
@@ -104,7 +107,6 @@ def build_graph(entries: list[BiasingEntry], blank_id: int | None = None) -> Con
                     first,
                 )
                 continue
-            nodes[at].is_end_of_word = True
             nodes[at].entry_id = entry_id
     return ContextGraph(
         nodes=nodes,
@@ -248,7 +250,14 @@ def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
 
 
 def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
-    """Load a serialized graph, refusing one built against a different vocabulary."""
+    """Load a serialized graph, refusing one built against a different vocabulary.
+
+    Everything build_graph guarantees is checked: the root comes first,
+    every node follows its parent, a parent has at most one child per token,
+    non-root tokens are vocabulary ids other than the blank, the end flag
+    is set exactly on nodes with an entry id, entry ids index the entry
+    table, and canonicals are non-empty UTF-8.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _G_MAGIC:
@@ -264,30 +273,47 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
         raise VocabularyMismatchError(
             f"{path}: graph blank id {blank} != vocabulary blank id {vocab.blank_id}"
         )
-    offset = _G_HEADER.size
+    if node_count == 0:
+        raise FormatError(f"{path}: no root node")
+    offset = _G_HEADER.size + node_count * _G_NODE.size
+    if offset > len(raw):
+        raise FormatError(f"{path}: truncated node table")
     nodes: list[_Node] = []
-    for i in range(node_count):
-        try:
-            token_id, parent, end_flag, entry_id = _G_NODE.unpack_from(raw, offset)
-        except struct.error as exc:
-            raise FormatError(f"{path}: truncated node table") from exc
-        offset += _G_NODE.size
-        if i and not parent < i:
+    for i, (token_id, parent, end_flag, entry_id) in enumerate(
+        _G_NODE.iter_unpack(raw[_G_HEADER.size:offset])
+    ):
+        if end_flag != (entry_id >= 0) or not -1 <= entry_id < entry_count:
+            raise FormatError(
+                f"{path}: node {i} has end flag {end_flag} and entry id {entry_id} "
+                f"({entry_count} entries)"
+            )
+        if i == ROOT:
+            if (token_id, parent, entry_id) != (-1, ROOT, -1):
+                raise FormatError(f"{path}: node 0 is not a root")
+        elif not parent < i:
             raise FormatError(f"{path}: node {i} precedes its parent")
-        nodes.append(
-            _Node(token_id=token_id, parent=parent, is_end_of_word=bool(end_flag), entry_id=entry_id)
-        )
-        if i:
+        elif not 0 <= token_id < vocab.size or token_id == blank:
+            raise FormatError(f"{path}: node {i} has token id {token_id}")
+        elif token_id in nodes[parent].children:
+            raise FormatError(f"{path}: node {i} repeats token {token_id} under node {parent}")
+        else:
             nodes[parent].children[token_id] = i
+        nodes.append(_Node(token_id=token_id, parent=parent, entry_id=entry_id))
     canonicals = []
-    for _ in range(entry_count):
+    for k in range(entry_count):
         if offset + 4 > len(raw):
             raise FormatError(f"{path}: truncated entry table")
         (length,) = struct.unpack_from("<I", raw, offset)
         offset += 4
         if offset + length > len(raw):
             raise FormatError(f"{path}: truncated entry table")
-        canonicals.append(raw[offset:offset + length].decode("utf-8"))
+        try:
+            word = raw[offset:offset + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: entry {k} is not valid UTF-8") from exc
+        if not word:
+            raise FormatError(f"{path}: entry {k} is empty")
+        canonicals.append(word)
         offset += length
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .align import AlignedWord, WordAlignment
+from .errors import DimensionMismatchError
 from .spotter import SpottedCandidate
 
 
@@ -50,13 +51,9 @@ def merge_ctc(
     """
     ordered = sorted(candidates, key=lambda c: (c.start_frame, c.end_frame))
     kept = list(alignment.words)
-    inserted: list[AlignedWord] = []
     decisions: list[MergeDecision] = []
     for cand in ordered:
-        over = [
-            w for w in kept
-            if w.start_frame <= cand.end_frame and cand.start_frame <= w.end_frame
-        ]
+        over = [w for w in kept if _touches(w, cand)]
         if over:
             threshold = sum(w.score for w in over)
         elif blank_scores is not None:
@@ -72,19 +69,9 @@ def merge_ctc(
                 accepted=accepted,
             )
         )
-        if accepted:
-            if over:
-                removed = set(map(id, over))
-                kept = [w for w in kept if id(w) not in removed]
-            inserted.append(
-                AlignedWord(
-                    word=cand.word,
-                    start_frame=cand.start_frame,
-                    end_frame=cand.end_frame,
-                    score=cand.score,
-                )
-            )
-    words = tuple(sorted(kept + inserted, key=lambda w: (w.start_frame, w.end_frame)))
+        if accepted and over:
+            kept = [w for w in kept if not _touches(w, cand)]
+    words = _splice(alignment.words, [d.candidate for d in decisions if d.accepted])
     return MergeResult(
         text=" ".join(w.word for w in words),
         decisions=tuple(decisions),
@@ -103,29 +90,38 @@ def merge_transducer(
     Acceptance decisions are made exactly as in merge_ctc (the transducer's
     own scores never enter the comparison); every accepted candidate then
     unconditionally replaces the transducer words its interval touches.
+
+    Raises:
+        DimensionMismatchError: a transducer word ends at or after the CTC
+            alignment's last frame, so the two do not share a frame rate.
     """
-    filtered = merge_ctc(ctc_alignment, candidates, blank_scores)
-    kept = list(transducer_alignment.words)
-    inserted = []
-    for decision in filtered.decisions:
-        if not decision.accepted:
-            continue
-        cand = decision.candidate
-        kept = [
-            w for w in kept
-            if w.end_frame < cand.start_frame or w.start_frame > cand.end_frame
-        ]
-        inserted.append(
-            AlignedWord(
-                word=cand.word,
-                start_frame=cand.start_frame,
-                end_frame=cand.end_frame,
-                score=cand.score,
-            )
+    words = transducer_alignment.words
+    if words and words[-1].end_frame >= ctc_alignment.frames:
+        raise DimensionMismatchError(
+            f"transducer word {words[-1].word!r} ends at frame {words[-1].end_frame}, "
+            f"the CTC matrix has {ctc_alignment.frames} frames"
         )
-    words = tuple(sorted(kept + inserted, key=lambda w: (w.start_frame, w.end_frame)))
+    filtered = merge_ctc(ctc_alignment, candidates, blank_scores)
+    words = _splice(words, [d.candidate for d in filtered.decisions if d.accepted])
     return MergeResult(
         text=" ".join(w.word for w in words),
         decisions=filtered.decisions,
         words=words,
     )
+
+
+def _touches(word: AlignedWord, cand: SpottedCandidate) -> bool:
+    """True when the closed frame intervals of word and candidate overlap."""
+    return word.start_frame <= cand.end_frame and cand.start_frame <= word.end_frame
+
+
+def _splice(
+    words: Sequence[AlignedWord], accepted: Sequence[SpottedCandidate]
+) -> tuple[AlignedWord, ...]:
+    """Replace the words each accepted candidate touches with the candidate, in frame order."""
+    kept = [w for w in words if not any(_touches(w, c) for c in accepted)]
+    inserted = [
+        AlignedWord(word=c.word, start_frame=c.start_frame, end_frame=c.end_frame, score=c.score)
+        for c in accepted
+    ]
+    return tuple(sorted(kept + inserted, key=lambda w: (w.start_frame, w.end_frame)))

@@ -51,14 +51,20 @@ def spot(
     search is exhaustive (no beam or state pruning, no thresholds) and the
     best score per candidate equals the brute-force oracle's.
 
+    The search walks graph.nodes as given, children in dict order.  The
+    result does not depend on the order moves are made in: state merging
+    keeps the best score per key (ties to the earlier start), candidates
+    keep the best score per key, the beam is a max and a filter, and the
+    output is sorted by (start, end, entry).
+
     Two shortcuts leave the pruned result unchanged.  The first-token gate
     selects the admitted root children with one vectorized comparison,
     made in float64 as the scalar test was (NumPy 2 would compare a
-    float32 row with a Python float in float32) and in ascending token
-    order.  And since the fresh empty hypothesis scores 0, a frame's beam
-    cutoff is never below -beam_thr: a move scoring less is never offered
-    for state merging, which it could only lose or win with a score the
-    beam then drops.  End-of-word moves are recorded either way.
+    float32 row with a Python float in float32).  And since the fresh
+    empty hypothesis scores 0, a frame's beam cutoff is never below
+    -beam_thr: a move scoring less is never offered for state merging,
+    which it could only lose or win with a score the beam then drops.
+    End-of-word moves are recorded either way.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -73,12 +79,9 @@ def spot(
         )
 
     nodes = graph.nodes
-    node_token = [n.token_id for n in nodes]
-    node_end = [n.is_end_of_word for n in nodes]
-    node_entry = [n.entry_id for n in nodes]
-    child_items = [sorted(n.children.items()) for n in nodes]
-    root_tokens = np.array([tok for tok, _ in child_items[ROOT]], dtype=np.intp)
-    root_nodes = [child for _, child in child_items[ROOT]]
+    root_children = nodes[ROOT].children
+    root_tokens = np.fromiter(root_children.keys(), dtype=np.intp, count=len(root_children))
+    root_nodes = list(root_children.values())
 
     pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
@@ -108,8 +111,9 @@ def spot(
                 score = lp + cb_w
                 if score >= floor:
                     _offer(current, pruning, child, False, score, t)
-                if node_end[child]:
-                    _record(spotted, node_entry[child], t, t, score)
+                entry = nodes[child].entry_id
+                if entry >= 0:
+                    _record(spotted, entry, t, t, score)
 
         for hyp in active.values():
             node = hyp.node
@@ -118,22 +122,24 @@ def spot(
             score = base + blank_lp
             if score >= floor:
                 _offer(current, pruning, node, True, score, start)
-            tok = node_token[node]
+            at = nodes[node]
+            tok = at.token_id
             if not hyp.blank_seen:
                 # re-emit and stay: continues the current emission run
                 score = base + float(row[tok]) + cb_w
                 if score >= floor:
                     _offer(current, pruning, node, False, score, start)
-                if node_end[node]:
-                    _record(spotted, node_entry[node], start, t, score)
-            for ctok, child in child_items[node]:
+                if at.entry_id >= 0:
+                    _record(spotted, at.entry_id, start, t, score)
+            for ctok, child in at.children.items():
                 if ctok == tok and not hyp.blank_seen:
                     continue  # a repeated label needs a separating blank
                 score = base + float(row[ctok]) + cb_w
                 if score >= floor:
                     _offer(current, pruning, child, False, score, start)
-                if node_end[child]:
-                    _record(spotted, node_entry[child], start, t, score)
+                entry = nodes[child].entry_id
+                if entry >= 0:
+                    _record(spotted, entry, start, t, score)
 
         if pruning and current:
             # the fresh empty hypothesis (score 0) joins the comparison

@@ -17,6 +17,7 @@ from ctcspot import (
     load_manual_alts,
     load_wordlist,
 )
+from ctcspot.alts import spelling_variants
 
 
 @pytest.fixture
@@ -114,6 +115,19 @@ class TestCompoundSplit:
         # "a" and "bc" are both ranked, but 1-char pieces are never used
         d = WordCostDictionary(words=("a", "bc", "zz", "yy"))
         assert compound_split("abc", d) is None
+
+
+class TestSpellingVariants:
+    def test_order_and_duplicates(self, dictionary):
+        got = spelling_variants("gpu", dictionary, [" G P U", "gpu", "jeepu", ""], True)
+        assert got == ["gpu", "g p u", "jeepu"]
+
+    def test_auto_alts_disabled_keeps_manual(self, dictionary):
+        assert spelling_variants("gpu", dictionary, ["jeepu"], False) == ["gpu", "jeepu"]
+
+    def test_compound_split_needs_a_dictionary(self, dictionary):
+        assert spelling_variants("hyperscale", None, (), True) == ["hyperscale"]
+        assert spelling_variants("hyperscale", dictionary, (), True)[1:] == ["hyper scale"]
 
 
 class TestExpandEntries:

@@ -166,6 +166,27 @@ class TestDecode:
         assert row["transducer_text"] == "bee"
         assert row["merged_text"] == "ab"
 
+    def test_transducer_alignment_past_the_matrix_fails_the_utterance(self, corpus, caplog):
+        # u1 has 4 frames; a word ending on frame 4 comes from another frame rate
+        (corpus / "u1.align.jsonl").write_text(
+            json.dumps({"word": "bee", "start_frame": 0, "end_frame": 4}) + "\n",
+            encoding="utf-8",
+        )
+        (corpus / "t.jsonl").write_text(
+            json.dumps({"id": "u1", "logprobs": "u1.bin",
+                        "transducer_alignment": "u1.align.jsonl"}) + "\n",
+            encoding="utf-8",
+        )
+        out = corpus / "out.jsonl"
+        code = main(
+            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "t.jsonl"),
+             "--context-list", str(corpus / "ctx.txt"),
+             "--output", str(out), "--mode", "transducer"]
+        )
+        assert code == 3
+        assert read_rows(out) == []
+        assert "u1: transducer word 'bee' ends at frame 4" in caplog.text
+
     def test_transducer_mode_without_alignment_is_partial(self, corpus):
         code, out = self.decode(corpus, extra=["--mode", "transducer"])
         assert code == 3
@@ -251,6 +272,14 @@ class TestEval:
     def test_missing_results_file(self, corpus):
         assert self.run_eval(corpus, results="absent.jsonl") == 2
 
+    def test_duplicate_result_id(self, corpus, caplog):
+        (corpus / "dup.jsonl").write_text(
+            '{"id": "u1", "merged_text": "ab"}\n{"id": "u1", "merged_text": "bb"}\n',
+            encoding="utf-8",
+        )
+        assert self.run_eval(corpus, results="dup.jsonl") == 2
+        assert "dup.jsonl:2: duplicate result id 'u1'" in caplog.text
+
 
 class TestMineList:
     def test_mines_misrecognized_terms(self, corpus, capsys):
@@ -324,14 +353,48 @@ class TestGenAlts:
         assert code == 0
         assert out.read_text().splitlines() == ["gpu\tjeepu"]
 
-    def test_output_feeds_back_into_build_graph(self, corpus):
-        out = corpus / "expanded.txt"
-        main(["gen-alts", "--context-list", str(corpus / "ctx.txt"), "--output", str(out)])
-        code = main(
-            ["build-graph", *args_vocab(corpus),
-             "--context-list", str(out), "--output", str(corpus / "g.bin")]
+    @pytest.mark.parametrize(
+        "files, extra",
+        [
+            ({"ctx.txt": "gpu\ncloudbase\tklaudbase\n"}, []),
+            # alternatives of a repeated row accumulate, as in build-graph
+            ({"ctx.txt": "gpu\tgee pee you\ngpu\tgeepee\nrtx\ngpu\n"}, []),
+            (
+                {"ctx.txt": "gpu\ncloudbase\n", "alts.txt": "gpu\tjee pee you\ncloudbase\tg p u\n"},
+                ["--manual-alts", "alts.txt"],
+            ),
+            (
+                {"ctx.txt": "cloudbase\nhyperscale\ngpu\n",
+                 "words.txt": "cloud\nbase\nhyper\nscale\n"},
+                ["--wordlist", "words.txt"],
+            ),
+        ],
+        ids=["plain", "repeated-canonical", "manual-alts", "wordlist"],
+    )
+    def test_output_feeds_back_into_build_graph(self, tmp_path, files, extra):
+        (tmp_path / "vocab.txt").write_text(
+            "".join(c + "\n" for c in "abcdefghijklmnopqrstuvwxyz ") + "<b>\n", encoding="utf-8"
         )
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        extra = [str(tmp_path / a) if a.endswith(".txt") else a for a in extra]
+        vocab = ["--vocab", str(tmp_path / "vocab.txt")]
+        out = tmp_path / "expanded.txt"
+        assert main(["gen-alts", "--context-list", str(tmp_path / "ctx.txt"),
+                     "--output", str(out), *extra]) == 0
+        assert main(["build-graph", *vocab, "--context-list", str(tmp_path / "ctx.txt"),
+                     "--output", str(tmp_path / "direct.bin"), *extra]) == 0
+        assert main(["build-graph", *vocab, "--context-list", str(out), "--no-auto-alts",
+                     "--output", str(tmp_path / "expanded.bin")]) == 0
+        assert (tmp_path / "expanded.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+    def test_repeated_rows_accumulate_alternatives(self, tmp_path):
+        (tmp_path / "ctx.txt").write_text("gpu\tgee pee you\ngpu\tgeepee\n", encoding="utf-8")
+        out = tmp_path / "expanded.txt"
+        code = main(["gen-alts", "--context-list", str(tmp_path / "ctx.txt"),
+                     "--output", str(out), "--no-auto-alts"])
         assert code == 0
+        assert out.read_text().splitlines() == ["gpu\tgee pee you\tgeepee"]
 
 
 class TestUsageErrors:
@@ -362,6 +425,59 @@ class TestUsageErrors:
              "--output", str(corpus / "g.bin")]
         )
         assert code == 2
+
+
+class TestBadTextInputs:
+    """Every text input that is not UTF-8 is a data error naming the file."""
+
+    @pytest.mark.parametrize(
+        "name, command, code",
+        [
+            ("vocab.txt", "build-graph", 2),
+            ("ctx.txt", "build-graph", 2),
+            ("alts.txt", "build-graph", 2),
+            ("words.txt", "build-graph", 2),
+            ("manifest.jsonl", "decode", 2),
+            # a bad per-utterance file fails that utterance only
+            ("u1.align.jsonl", "decode", 3),
+            ("out.jsonl", "eval", 2),
+        ],
+    )
+    def test_not_utf8_is_a_data_error(self, corpus, caplog, name, command, code):
+        (corpus / "alts.txt").write_text("ab\ta b\n", encoding="utf-8")
+        (corpus / "words.txt").write_text("ab\nba\n", encoding="utf-8")
+        rows = [json.loads(line) for line in (corpus / "manifest.jsonl").read_text().splitlines()]
+        for row, end in zip(rows, (2, 0)):
+            align = f"{row['id']}.align.jsonl"
+            (corpus / align).write_text(
+                json.dumps({"word": row["text"], "start_frame": 0, "end_frame": end}) + "\n",
+                encoding="utf-8",
+            )
+            row["transducer_alignment"] = align
+        (corpus / "manifest.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
+        )
+        (corpus / "out.jsonl").write_text(
+            '{"id": "u1", "merged_text": "ab"}\n{"id": "u2", "merged_text": "a"}\n',
+            encoding="utf-8",
+        )
+        path = corpus / name
+        path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+        ctx = ["--context-list", str(corpus / "ctx.txt")]
+        argv = {
+            "build-graph": ["build-graph", *args_vocab(corpus), *ctx,
+                            "--manual-alts", str(corpus / "alts.txt"),
+                            "--wordlist", str(corpus / "words.txt"),
+                            "--output", str(corpus / "g.bin")],
+            "decode": ["decode", *args_vocab(corpus), *ctx, "--mode", "transducer",
+                       "--manifest", str(corpus / "manifest.jsonl"),
+                       "--output", str(corpus / "dec.jsonl")],
+            "eval": ["eval", "--results", str(corpus / "out.jsonl"), *ctx,
+                     "--manifest", str(corpus / "manifest.jsonl")],
+        }[command]
+        assert main(argv) == code
+        assert f"{path}: not valid UTF-8" in caplog.text
+        assert "Traceback" not in caplog.text
 
 
 def test_console_script_runs(corpus):

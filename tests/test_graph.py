@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import char_vocab
+from conftest import char_vocab, random_matrix
 from ctcspot import (
     BiasingEntry,
+    DataError,
     FormatError,
     InvalidValueError,
     UnsegmentableError,
@@ -19,9 +22,10 @@ from ctcspot import (
     export_dot,
     load_graph,
     save_graph,
+    spot,
     tokenize,
 )
-from ctcspot.graph import ROOT
+from ctcspot.graph import _G_HEADER, _G_NODE, ROOT
 from ctcspot.oracle import exhaustive_segmentations
 
 
@@ -238,3 +242,94 @@ class TestSaveLoad:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             load_graph(str(path), vocab)
+
+
+def _saved_gpu_up(tmp_path):
+    """Saved graph of "gpu" and "up" over char_vocab("gpu") (blank id 4).
+
+    Nodes: 0 root, 1 g, 2 g>p, 3 g>p>u (ends entry 0), 4 u, 5 u>p (ends entry 1).
+    """
+    vocab = char_vocab("gpu")
+    g = build_graph(
+        [entry("gpu", tokenize("gpu", vocab)), entry("up", tokenize("up", vocab))],
+        blank_id=vocab.blank_id,
+    )
+    path = tmp_path / "g.bin"
+    save_graph(g, str(path), vocab)
+    return vocab, path
+
+
+def _patch_node(path, index: int, **fields) -> None:
+    """Overwrite fields of one node record in a saved graph file."""
+    raw = bytearray(path.read_bytes())
+    at = _G_HEADER.size + index * _G_NODE.size
+    record = dict(zip(("token_id", "parent", "end_flag", "entry_id"), _G_NODE.unpack_from(raw, at)))
+    record.update(fields)
+    _G_NODE.pack_into(raw, at, *record.values())
+    path.write_bytes(bytes(raw))
+
+
+class TestLoadGraphChecks:
+    def test_saved_graph_loads(self, tmp_path):
+        vocab, path = _saved_gpu_up(tmp_path)
+        g = load_graph(str(path), vocab)
+        assert [n.entry_id for n in g.nodes] == [-1, -1, -1, 0, -1, 1]
+
+    @pytest.mark.parametrize(
+        "index, fields",
+        [
+            (3, {"end_flag": 0}),  # entry id without the end flag
+            (2, {"end_flag": 1}),  # end flag without an entry id
+            (3, {"entry_id": -1}),  # end node with entry id -1
+            (3, {"entry_id": 2}),  # entry id == entry count
+            (3, {"entry_id": 5}),  # entry id past the entry table
+            (2, {"end_flag": 0, "entry_id": -2}),  # negative entry id other than -1
+            (4, {"token_id": 0}),  # second root child with token "g"
+            (1, {"token_id": -3}),  # negative token id
+            (1, {"token_id": 4}),  # the blank id
+            (1, {"token_id": 5}),  # past the vocabulary
+            (0, {"token_id": 2}),  # root carrying a token
+        ],
+    )
+    def test_rejects_what_build_graph_never_writes(self, tmp_path, index, fields):
+        vocab, path = _saved_gpu_up(tmp_path)
+        _patch_node(path, index, **fields)
+        with pytest.raises(FormatError):
+            load_graph(str(path), vocab)
+
+    def test_rejects_canonical_that_is_not_utf8(self, tmp_path):
+        vocab, path = _saved_gpu_up(tmp_path)
+        length = struct.pack("<I", 3)
+        path.write_bytes(path.read_bytes().replace(length + b"gpu", length + b"\xffpu"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_graph(str(path), vocab)
+
+    @seed(4041)
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_flipped_bytes_load_and_spot_or_raise_data_error(self, tmp_path, data):
+        vocab, path = _saved_gpu_up(tmp_path)
+        raw = bytearray(path.read_bytes())
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for at, mask in flips:
+            raw[at] ^= mask
+        path.write_bytes(bytes(raw))
+        try:
+            g = load_graph(str(path), vocab)
+        except DataError:
+            return
+        if g.blank_id is None:
+            g.blank_id = vocab.blank_id  # as decode does for a blank-less graph
+        lp = random_matrix(np.random.default_rng(0), 12, vocab.size)
+        for c in spot(lp, g):
+            assert c.word == g.canonicals[c.entry_id]

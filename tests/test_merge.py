@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctcspot import (
     AlignedWord,
+    DimensionMismatchError,
     SpottedCandidate,
     WordAlignment,
     merge_ctc,
@@ -220,3 +221,15 @@ class TestMergeTransducer:
         ctc = alignment(word("jello", 0, 2, -1.0), frames=5)
         got = merge_transducer(transducer, ctc, [])
         assert got.text == "hello"
+
+    @pytest.mark.parametrize("end", [4, 9])
+    def test_word_past_the_ctc_matrix_is_rejected(self, end):
+        ctc = alignment(word("cpu", 0, 3, -4.0), frames=4)
+        trans = alignment(word("see", 0, 2, -1.0), word("pee", 3, end, -1.0))
+        with pytest.raises(DimensionMismatchError):
+            merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)])
+
+    def test_word_on_the_last_frame_is_accepted(self):
+        ctc = alignment(word("cpu", 0, 3, -4.0), frames=4)
+        trans = alignment(word("see", 0, 3, -1.0))
+        assert merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)]).text == "gpu"
