@@ -349,6 +349,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise FormatError(f"{args.results}:{lineno}: invalid JSON") from exc
         if not isinstance(row, dict) or "id" not in row or "merged_text" not in row:
             raise FormatError(f"{args.results}:{lineno}: rows need 'id' and 'merged_text'")
+        if not isinstance(row["id"], str) or not isinstance(row["merged_text"], str):
+            raise InvalidValueError(
+                f"{args.results}:{lineno}: 'id' and 'merged_text' must be strings"
+            )
         if row["id"] in hyps:
             raise InvalidValueError(f"{args.results}:{lineno}: duplicate result id {row['id']!r}")
         hyps[row["id"]] = row["merged_text"]

@@ -59,6 +59,11 @@ class Vocabulary:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     @cached_property
+    def max_token_len(self) -> int:
+        """Length in characters of the longest token."""
+        return max(len(tok) for tok in self.tokens)
+
+    @cached_property
     def has_marker_tokens(self) -> bool:
         """True for BPE-style inventories where pieces carry the boundary marker."""
         marker = self.word_boundary_marker
@@ -217,11 +222,12 @@ def load_logprobs(path: str) -> LogProbMatrix:
     _, version, flags, _, frames, vocab = _HEADER.unpack_from(raw)
     if version != _FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
-    payload = raw[_HEADER.size:]
+    payload = len(raw) - _HEADER.size
     expected = frames * vocab * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(frames, vocab)
+    if payload != expected:
+        raise FormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+    values = np.frombuffer(raw, dtype="<f4", count=frames * vocab, offset=_HEADER.size)
+    values = values.reshape(frames, vocab)
     return LogProbMatrix(values=values, normalized=bool(flags & _FLAG_NORMALIZED))
 
 
@@ -259,7 +265,8 @@ def load_manifest(path: str) -> list[UtteranceRecord]:
     """Read a JSON-lines manifest: {"id", "logprobs", "text"?, "transducer_alignment"?}.
 
     Relative paths resolve against the manifest's directory.  Utterance ids
-    must be unique and non-empty.
+    must be unique and non-empty.  Every field is a string; the optional
+    ones may also be null.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[UtteranceRecord] = []
@@ -280,12 +287,19 @@ def load_manifest(path: str) -> list[UtteranceRecord]:
         if uid in seen:
             raise InvalidValueError(f"{path}:{lineno}: duplicate utterance id {uid!r}")
         seen.add(uid)
+        logprobs = row["logprobs"]
+        text = row.get("text")
         tali = row.get("transducer_alignment")
+        if not isinstance(logprobs, str):
+            raise InvalidValueError(f"{path}:{lineno}: 'logprobs' must be a string")
+        for name, value in (("text", text), ("transducer_alignment", tali)):
+            if value is not None and not isinstance(value, str):
+                raise InvalidValueError(f"{path}:{lineno}: {name!r} must be a string or null")
         records.append(
             UtteranceRecord(
                 utterance_id=uid,
-                logprob_path=_resolve(base, row["logprobs"]),
-                text=row.get("text"),
+                logprob_path=_resolve(base, logprobs),
+                text=text,
                 transducer_alignment_path=_resolve(base, tali) if tali else None,
             )
         )

@@ -70,14 +70,16 @@ class ContextGraph:
     nodes: list[_Node]
     canonicals: tuple[str, ...]
     blank_id: int | None = None
+    # largest token id in the trie (-1 if empty), computed once for spot's width
+    # check, so nodes must not change after the graph is made
+    max_token_id: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.max_token_id = max((n.token_id for n in self.nodes[1:]), default=-1)
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def max_token_id(self) -> int:
-        return max((n.token_id for n in self.nodes[1:]), default=-1)
 
 
 def build_graph(entries: list[BiasingEntry], blank_id: int | None = None) -> ContextGraph:
@@ -157,7 +159,7 @@ def _match_token(word: str, pos: int, length: int, vocab: Vocabulary) -> int | N
 
 def _segment_word(word: str, vocab: Vocabulary) -> list[int]:
     n = len(word)
-    max_len = max(len(t) for t in vocab.tokens)
+    max_len = vocab.max_token_len
     infeasible = n + 1
     # pieces[i] = fewest pieces covering word[i:]
     pieces = [infeasible] * (n + 1)

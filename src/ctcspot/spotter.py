@@ -17,16 +17,6 @@ from .errors import DimensionMismatchError, InvalidValueError
 from .graph import ROOT, ContextGraph
 
 
-@dataclass(slots=True)
-class Hypothesis:
-    """A live search state inside the context graph."""
-
-    node: int
-    score: float
-    start_frame: int  # frame the hypothesis was seeded (= its first emission)
-    blank_seen: bool  # last emission was a blank
-
-
 @dataclass(frozen=True)
 class SpottedCandidate:
     """A detected biasing entry spanning the closed frame interval."""
@@ -51,20 +41,30 @@ def spot(
     search is exhaustive (no beam or state pruning, no thresholds) and the
     best score per candidate equals the brute-force oracle's.
 
+    A live state is a list [node, blank_seen, score, start].  With pruning
+    states merge on the int key node << 1 | blank_seen, as in beam search;
+    without it the key is (node, blank_seen, start), which merges only
+    hypotheses with identical futures and keeps exhaustive mode exact yet
+    polynomial.  A merge keeps the best score, ties to the earlier start;
+    a candidate keeps its best score, and -inf scores (some emission had
+    probability zero) are never recorded.
+
     The search walks graph.nodes as given, children in dict order.  The
-    result does not depend on the order moves are made in: state merging
-    keeps the best score per key (ties to the earlier start), candidates
-    keep the best score per key, the beam is a max and a filter, and the
-    output is sorted by (start, end, entry).
+    result does not depend on the order moves are made in: merges and
+    records keep a best, the beam is a max and a filter, and the output is
+    sorted by (start, end, entry).
 
     Two shortcuts leave the pruned result unchanged.  The first-token gate
     selects the admitted root children with one vectorized comparison,
     made in float64 as the scalar test was (NumPy 2 would compare a
-    float32 row with a Python float in float32).  And since the fresh
-    empty hypothesis scores 0, a frame's beam cutoff is never below
-    -beam_thr: a move scoring less is never offered for state merging,
-    which it could only lose or win with a score the beam then drops.
-    End-of-word moves are recorded either way.
+    float32 row with a Python float in float32).  And a move is offered
+    for merging only if it scores at least lo = max(0, best score offered
+    so far this frame) - beam_thr, the fresh empty hypothesis counting as
+    0; end-of-word moves are recorded whatever their score.  This is
+    lossless because lo never exceeds the frame's final beam cutoff, which
+    is the final lo, so a dropped move would have been filtered by the
+    beam or lost its merge to a higher score.  Without pruning the beam is
+    infinite and lo stays -inf.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -77,6 +77,8 @@ def spot(
         raise DimensionMismatchError(
             f"graph tokens need {max(graph.max_token_id, blank) + 1} columns, matrix has {width}"
         )
+    # flat row-major view, no copy for a C-contiguous matrix; reads give Python floats
+    lps = memoryview(values.reshape(-1))
 
     nodes = graph.nodes
     root_children = nodes[ROOT].children
@@ -86,111 +88,90 @@ def spot(
     pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
     beta = cfg.beta_thr
-    beam = cfg.beam_thr
     # without pruning every first token is admitted and no move is discarded
     gamma = cfg.gamma_thr if pruning else -math.inf
-    floor = -beam if pruning else -math.inf
+    beam = cfg.beam_thr if pruning else math.inf
 
-    # (entry_id, start, end) -> best score seen for that candidate
+    # (start, end, entry_id) -> best score seen for that candidate
     spotted: dict[tuple[int, int, int], float] = {}
-    active: dict[tuple, Hypothesis] = {}
+    active: list[list] = []
+
+    # offer and record act on the frame's current, best and lo, set in the loop
+    def offer(node: int, blank_seen: bool, score: float, start: int) -> None:
+        nonlocal best, lo
+        key = node << 1 | blank_seen if pruning else (node, blank_seen, start)
+        state = current.get(key)
+        if state is None:
+            current[key] = [node, blank_seen, score, start]
+        elif score > state[2] or (score == state[2] and start < state[3]):
+            state[2] = score
+            state[3] = start
+        if score > best:
+            best = score
+            lo = score - beam
+
+    def record(entry: int, start: int, end: int, score: float) -> None:
+        if math.isinf(score):
+            return  # unreachable path (some emission had probability zero)
+        key = (start, end, entry)
+        prev = spotted.get(key)
+        if prev is None or score > prev:
+            spotted[key] = score
 
     for t in range(frames):
-        row = values[t]
-        blank_lp = float(row[blank])
-        if not active and pruning and blank_lp > beta:
+        off = t * width
+        blank_lp = lps[off + blank]
+        seed = not (pruning and blank_lp > beta)
+        if not active and not seed:
             continue  # nothing alive and the empty hypothesis sits this frame out
-        current: dict[tuple, Hypothesis] = {}
+        current = {}
+        best = 0.0
+        lo = best - beam
 
-        if not (pruning and blank_lp > beta):
+        if seed:
             # expand the fresh empty hypothesis into the admitted first tokens
-            first = row[root_tokens].astype(np.float64)
+            first = values[t, root_tokens].astype(np.float64)
             admitted = np.flatnonzero(first >= gamma)
             for i, lp in zip(admitted.tolist(), first[admitted].tolist()):
                 child = root_nodes[i]
                 score = lp + cb_w
-                if score >= floor:
-                    _offer(current, pruning, child, False, score, t)
+                if score >= lo:
+                    offer(child, False, score, t)
                 entry = nodes[child].entry_id
                 if entry >= 0:
-                    _record(spotted, entry, t, t, score)
+                    record(entry, t, t, score)
 
-        for hyp in active.values():
-            node = hyp.node
-            base = hyp.score
-            start = hyp.start_frame
+        for node, blank_seen, base, start in active:
             score = base + blank_lp
-            if score >= floor:
-                _offer(current, pruning, node, True, score, start)
+            if score >= lo:
+                offer(node, True, score, start)
             at = nodes[node]
             tok = at.token_id
-            if not hyp.blank_seen:
+            if not blank_seen:
                 # re-emit and stay: continues the current emission run
-                score = base + float(row[tok]) + cb_w
-                if score >= floor:
-                    _offer(current, pruning, node, False, score, start)
+                score = base + lps[off + tok] + cb_w
+                if score >= lo:
+                    offer(node, False, score, start)
                 if at.entry_id >= 0:
-                    _record(spotted, at.entry_id, start, t, score)
+                    record(at.entry_id, start, t, score)
             for ctok, child in at.children.items():
-                if ctok == tok and not hyp.blank_seen:
+                if ctok == tok and not blank_seen:
                     continue  # a repeated label needs a separating blank
-                score = base + float(row[ctok]) + cb_w
-                if score >= floor:
-                    _offer(current, pruning, child, False, score, start)
+                score = base + lps[off + ctok] + cb_w
+                if score >= lo:
+                    offer(child, False, score, start)
                 entry = nodes[child].entry_id
                 if entry >= 0:
-                    _record(spotted, entry, start, t, score)
+                    record(entry, start, t, score)
 
-        if pruning and current:
-            # the fresh empty hypothesis (score 0) joins the comparison
-            best = 0.0
-            for hyp in current.values():
-                if hyp.score > best:
-                    best = hyp.score
-            cutoff = best - beam
-            active = {k: h for k, h in current.items() if h.score >= cutoff}
-        else:
-            active = current
+        # the final lo is the beam cutoff max(0, frame best) - beam_thr
+        active = [state for state in current.values() if state[2] >= lo]
 
     canonicals = graph.canonicals
-    out = [
+    return [
         SpottedCandidate(entry_id=e, word=canonicals[e], start_frame=s, end_frame=f, score=sc)
-        for (e, s, f), sc in spotted.items()
+        for (s, f, e), sc in sorted(spotted.items())
     ]
-    out.sort(key=lambda c: (c.start_frame, c.end_frame, c.entry_id))
-    return out
-
-
-def _offer(
-    current: dict,
-    pruning: bool,
-    node: int,
-    blank_seen: bool,
-    score: float,
-    start: int,
-) -> None:
-    """State-merge a transition: keep the best score, ties to the earlier start.
-
-    With pruning the key is (node, blank_seen) as in beam search; without it
-    the start frame joins the key, which merges only hypotheses with
-    identical futures and keeps exhaustive mode exact yet polynomial.
-    """
-    key = (node, blank_seen) if pruning else (node, blank_seen, start)
-    prev = current.get(key)
-    if prev is None:
-        current[key] = Hypothesis(node=node, score=score, start_frame=start, blank_seen=blank_seen)
-    elif score > prev.score or (score == prev.score and start < prev.start_frame):
-        prev.score = score
-        prev.start_frame = start
-
-
-def _record(spotted: dict, entry: int, start: int, end: int, score: float) -> None:
-    if math.isinf(score):
-        return  # unreachable path (some emission had probability zero)
-    key = (entry, start, end)
-    prev = spotted.get(key)
-    if prev is None or score > prev:
-        spotted[key] = score
 
 
 def find_best_hyps(candidates: list[SpottedCandidate]) -> list[SpottedCandidate]:

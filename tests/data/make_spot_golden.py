@@ -1,20 +1,24 @@
 """Record the golden `spot` fixture that tests/test_spotter.py replays.
 
-Writes two normalized matrices and one JSON file next to this script:
+Writes three normalized matrices and one JSON file next to this script:
 
 - spot_golden_bpe.bin: 200 frames over an 80-token marker-piece (BPE-style)
   inventory, blank-dominated between planted clean and garbled biasing
   words and fillers.
 - spot_golden_char.bin: 40 high-entropy frames over 28 character tokens.
+- spot_golden_dense.bin: 48 high-entropy character frames with planted
+  words, searched with a 2500-entry trie, in the shape of the benchmark's
+  dense_char workload.
 - spot_golden.json: per case, the biasing entries as token-id sequences, the
   blank id, the spotter config and the pruned `spot` candidates as
   (entry id, start frame, end frame, score).
 
 The matrices are stored rather than regenerated so that the replay does
-not depend on how a platform rounds `exp` and `log`.  The candidates were
-recorded with the spotter that looped over every root child in Python and
-offered every move to state merging; a later spotter must reproduce them
-exactly.  Run from the repository root:
+not depend on how a platform rounds `exp` and `log`.  The bpe and char
+candidates were recorded with the spotter that looped over every root
+child in Python and offered every move to state merging, the dense ones
+with the spotter that offered every move scoring at least -beam_thr; a
+later spotter must reproduce them exactly.  Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_spot_golden.py
 """
@@ -136,10 +140,35 @@ def char_case(rng) -> tuple[np.ndarray, list[BiasingEntry], int]:
     return _normalize(np.exp(logits)), entries, vocab.blank_id
 
 
+def dense_case(rng) -> tuple[np.ndarray, list[BiasingEntry], int]:
+    """High-entropy character frames with planted words, as bench's dense_char."""
+    vocab = Vocabulary(tokens=tuple(LETTERS) + (" ", "<b>"), blank_id=27)
+    entries = _entries(_words(rng, 2500, 3, 9), vocab)
+    frames = 48
+    probs = rng.lognormal(sigma=1.5, size=(frames, 28))
+    probs /= probs.sum(axis=1, keepdims=True)
+    at = 1
+    while at < frames - 10:
+        seq = entries[int(rng.integers(0, len(entries)))].transcriptions[0]
+        for tok in seq:
+            for _ in range(int(rng.integers(1, 3))):
+                if at < frames:
+                    peak = float(rng.uniform(0.30, 0.55))
+                    probs[at] *= 1.0 - peak
+                    probs[at, tok] += peak
+                    at += 1
+        at += int(rng.integers(1, 4))
+    return _normalize(probs), entries, vocab.blank_id
+
+
 def main() -> None:
     cfg = SpotterConfig()
     cases = {}
-    for name, build, seed in (("bpe", bpe_case, 2406), ("char", char_case, 7096)):
+    for name, build, seed in (
+        ("bpe", bpe_case, 2406),
+        ("char", char_case, 7096),
+        ("dense", dense_case, 611),
+    ):
         values, entries, blank = build(np.random.default_rng(seed))
         path = os.path.join(HERE, f"spot_golden_{name}.bin")
         write_logprobs(LogProbMatrix(values=values, normalized=True), path)

@@ -480,6 +480,51 @@ class TestBadTextInputs:
         assert "Traceback" not in caplog.text
 
 
+class TestNonStringFields:
+    """A JSON field of the wrong type is a data error naming file and line."""
+
+    STRINGS = "'id' and 'merged_text' must be strings"
+
+    @pytest.mark.parametrize(
+        "command, name, row, message",
+        [
+            ("eval", "out.jsonl", {"id": ["u1"], "merged_text": "ab"}, STRINGS),
+            ("eval", "out.jsonl", {"id": "u1", "merged_text": 5}, STRINGS),
+            ("eval", "manifest.jsonl", {"id": "u1", "logprobs": "u1.bin", "text": 5},
+             "'text' must be a string or null"),
+            ("mine-list", "manifest.jsonl", {"id": "u1", "logprobs": 5, "text": "ab"},
+             "'logprobs' must be a string"),
+            ("decode", "manifest.jsonl", {"id": "u1", "logprobs": 5},
+             "'logprobs' must be a string"),
+            ("decode", "manifest.jsonl",
+             {"id": "u1", "logprobs": "u1.bin", "transducer_alignment": 5},
+             "'transducer_alignment' must be a string or null"),
+        ],
+        ids=["eval-id", "eval-merged_text", "eval-text", "mine-list-logprobs",
+             "decode-logprobs", "decode-transducer_alignment"],
+    )
+    def test_exits_2_with_one_line(self, corpus, caplog, command, name, row, message):
+        first = {"id": "u0", "merged_text": "a"} if name == "out.jsonl" else {
+            "id": "u0", "logprobs": "u2.bin", "text": "a"}
+        (corpus / "out.jsonl").write_text('{"id": "u1", "merged_text": "ab"}\n', encoding="utf-8")
+        (corpus / name).write_text(
+            json.dumps(first) + "\n" + json.dumps(row) + "\n", encoding="utf-8"
+        )
+        ctx = ["--context-list", str(corpus / "ctx.txt")]
+        manifest = ["--manifest", str(corpus / "manifest.jsonl")]
+        argv = {
+            "eval": ["eval", "--results", str(corpus / "out.jsonl"), *ctx, *manifest],
+            "mine-list": ["mine-list", *args_vocab(corpus), *manifest,
+                          "--output", str(corpus / "mined.txt")],
+            "decode": ["decode", *args_vocab(corpus), *ctx, *manifest, "--mode", "transducer",
+                       "--output", str(corpus / "dec.jsonl")],
+        }[command]
+        assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{corpus / name}:2: {message}"]
+        assert "Traceback" not in caplog.text
+
+
 def test_console_script_runs(corpus):
     out = corpus / "graph.bin"
     proc = subprocess.run(

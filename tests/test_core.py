@@ -7,20 +7,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import log_softmax_rows, random_matrix
+from conftest import char_vocab, log_softmax_rows, random_matrix
 from ctcspot import (
+    BiasingEntry,
+    DataError,
     DuplicateTokenError,
     FormatError,
     InvalidValueError,
     LogProbMatrix,
     SpotterConfig,
     Vocabulary,
+    build_graph,
+    find_best_hyps,
+    greedy_ctc_align,
     load_logprobs,
     load_manifest,
     load_vocabulary,
+    spot,
+    tokenize,
     write_logprobs,
 )
 
@@ -289,6 +296,38 @@ class TestLogProbFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_logprobs(str(path))
+
+    @seed(4042)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flipped_bytes_load_and_decode_or_raise_data_error(self, tmp_path_factory, data):
+        vocab = char_vocab("abcd")
+        entries = [
+            BiasingEntry(canonical=w, transcriptions=(tuple(tokenize(w, vocab)),))
+            for w in ("ab", "bad", "cab")
+        ]
+        graph = build_graph(entries, blank_id=vocab.blank_id)
+        path = tmp_path_factory.mktemp("lp") / "m.bin"
+        write_logprobs(random_matrix(np.random.default_rng(0), 12, vocab.size), str(path))
+        raw = bytearray(path.read_bytes())
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for at, mask in flips:
+            raw[at] ^= mask
+        path.write_bytes(bytes(raw))
+        try:
+            lp = load_logprobs(str(path))
+            candidates = find_best_hyps(spot(lp, graph))
+            greedy = greedy_ctc_align(lp, vocab)
+        except DataError:
+            return
+        assert all(c.word == graph.canonicals[c.entry_id] for c in candidates)
+        assert all(0 <= w.start_frame <= w.end_frame < lp.frames for w in greedy.words)
 
 
 class TestManifest:

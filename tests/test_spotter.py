@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import log_softmax_rows, one_hot_matrix, random_matrix
 from ctcspot import (
     BiasingEntry,
+    ContextGraph,
     DimensionMismatchError,
     InvalidValueError,
     LogProbMatrix,
@@ -183,6 +185,27 @@ class TestPruning:
             want = best_path_score(lp, key[1:], labels, cfg.cb_w, blank_id=0)
             assert got[key] == pytest.approx(want)
 
+    def test_move_exactly_on_the_beam_cutoff_survives(self):
+        # the frame-0 move scores -2.0, exactly max(0, best) - beam_thr; the
+        # beam keeps a score equal to its cutoff, so the word completes
+        values = np.array([[-1.0, -2.0, -5.0], [-5.0, -5.0, 0.0]], dtype=np.float32)
+        _, graph = entries_graph((1, 2))
+        cfg = SpotterConfig(cb_w=0.0, beam_thr=2.0, gamma_thr=-math.inf)
+        got = spot(LogProbMatrix(values=values), graph, cfg)
+        assert [(c.start_frame, c.end_frame, c.score) for c in got] == [(0, 1, -2.0)]
+
+    def test_merge_tie_keeps_the_earlier_start(self):
+        # with no bonus every path scores 0: the run started at frame 0 and
+        # the fresh start at frame 1 tie in the same state, and the earlier
+        # start survives; exhaustive mode keeps both
+        lp = one_hot_matrix([1, 1, 2], width=3)
+        _, graph = entries_graph((1, 2))
+        cfg = SpotterConfig(cb_w=0.0)
+        pruned = [(c.start_frame, c.end_frame) for c in spot(lp, graph, cfg)]
+        assert pruned == [(0, 2)]
+        full = spot(lp, graph, SpotterConfig(cb_w=0.0, pruning_enabled=False))
+        assert [(c.start_frame, c.end_frame) for c in full] == [(0, 2), (1, 2)]
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         lp = random_matrix(rng, 12, 5)
@@ -191,13 +214,108 @@ class TestPruning:
             assert spot(lp, graph, cfg) == spot(lp, graph, cfg)
 
 
+def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -> list[tuple]:
+    """The documented rule, written plainly: every move scoring at least
+    -beam_thr is offered to state merging (best score, ties to the earlier
+    start), then the frame's states are filtered by the beam."""
+    nodes = graph.nodes
+    blank = graph.blank_id
+    pruning = cfg.pruning_enabled
+    floor = -cfg.beam_thr if pruning else -math.inf
+    gamma = cfg.gamma_thr if pruning else -math.inf
+    spotted: dict[tuple[int, int, int], float] = {}
+    active: dict[tuple, tuple[float, int]] = {}
+    for t, row in enumerate(lp.values.tolist()):
+        moves = []  # (node, blank_seen, score, start)
+        if not (pruning and row[blank] > cfg.beta_thr):
+            for tok, child in nodes[0].children.items():
+                if row[tok] >= gamma:
+                    moves.append((child, False, row[tok] + cfg.cb_w, t))
+        for (node, seen, *_), (base, start) in active.items():
+            moves.append((node, True, base + row[blank], start))
+            tok = nodes[node].token_id
+            if not seen:
+                moves.append((node, False, base + row[tok] + cfg.cb_w, start))
+            for ctok, child in nodes[node].children.items():
+                if ctok != tok or seen:
+                    moves.append((child, False, base + row[ctok] + cfg.cb_w, start))
+        current: dict[tuple, tuple[float, int]] = {}
+        for node, seen, score, start in moves:
+            entry = nodes[node].entry_id
+            if not seen and entry >= 0 and score > -math.inf:
+                key = (entry, start, t)
+                spotted[key] = max(score, spotted.get(key, -math.inf))
+            if score < floor:
+                continue
+            key = (node, seen) if pruning else (node, seen, start)
+            if key not in current or (-score, start) < (-current[key][0], current[key][1]):
+                current[key] = (score, start)
+        if pruning:
+            cutoff = max([0.0] + [score for score, _ in current.values()]) - cfg.beam_thr
+            current = {k: v for k, v in current.items() if v[0] >= cutoff}
+        active = current
+    return sorted((s, e, entry, score) for (entry, s, e), score in spotted.items())
+
+
+def reversed_children(graph: ContextGraph) -> ContextGraph:
+    """The same trie with every node's children inserted in reverse order."""
+    nodes = [
+        dataclasses.replace(n, children=dict(reversed(n.children.items()))) for n in graph.nodes
+    ]
+    return ContextGraph(nodes=nodes, canonicals=graph.canonicals, blank_id=graph.blank_id)
+
+
+class TestAgainstReference:
+    """spot equals the plain-rule reference on random tries and matrices.
+
+    Integer-valued matrices make exact ties and moves scoring exactly on
+    the beam cutoff common, so the merge tie-break and the comparison
+    against the running bound are both exercised.
+    """
+
+    @seed(6110)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_spot_equals_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        blank = 27
+        seqs = {
+            tuple(int(x) for x in rng.integers(0, 27 if rng.random() < 0.5 else 4, size=n))
+            for n in rng.integers(1, 7, size=int(rng.integers(3, 41)))
+        }
+        entries = [
+            BiasingEntry(canonical=f"w{i}", transcriptions=(seq,))
+            for i, seq in enumerate(sorted(seqs))
+        ]
+        graph = build_graph(entries, blank_id=blank)
+        frames = int(rng.integers(1, 17))
+        if data.draw(st.booleans()):
+            values = -rng.integers(0, 5, size=(frames, 28)).astype(np.float32)
+            values[rng.random(size=values.shape) < 0.05] = -np.inf
+            lp = LogProbMatrix(values=values)
+        else:
+            lp = random_matrix(rng, frames, 28, scale=float(rng.uniform(0.5, 4.0)))
+        cfg = SpotterConfig(
+            cb_w=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+            beta_thr=data.draw(st.sampled_from([math.log(0.8), -0.5, 0.0])),
+            gamma_thr=data.draw(st.sampled_from([math.log(0.001), -2.0, -math.inf])),
+            beam_thr=data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0])),
+            pruning_enabled=data.draw(st.booleans()),
+        )
+        want = reference_spot(lp, graph, cfg)
+        for g in (graph, reversed_children(graph)):
+            got = spot(lp, g, cfg)
+            assert [(c.start_frame, c.end_frame, c.entry_id, c.score) for c in got] == want
+            assert all(c.word == g.canonicals[c.entry_id] for c in got)
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 class TestGolden:
     """Pruned candidates recorded by tests/data/make_spot_golden.py stay identical."""
 
-    @pytest.mark.parametrize("case", ["bpe", "char"])
+    @pytest.mark.parametrize("case", ["bpe", "char", "dense"])
     def test_pruned_candidates_unchanged(self, case):
         with open(os.path.join(GOLDEN, "spot_golden.json"), encoding="utf-8") as fh:
             golden = json.load(fh)[case]
