@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbMatrix, Vocabulary, read_text
+from .core import LogProbMatrix, Vocabulary, read_jsonl
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -132,24 +131,15 @@ def load_transducer_alignment(path: str) -> WordAlignment:
     own).  Overlapping, unsorted, or negative intervals are rejected.
     """
     words: list[AlignedWord] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
-        if not isinstance(row, dict) or not {"word", "start_frame", "end_frame"} <= row.keys():
-            raise FormatError(f"{path}:{lineno}: rows need word/start_frame/end_frame")
+    for where, row in read_jsonl(path, frozenset({"word", "start_frame", "end_frame"})):
         word = row["word"]
         if not isinstance(word, str) or not word:
-            raise InvalidValueError(f"{path}:{lineno}: empty word")
+            raise InvalidValueError(f"{where}: empty word")
         try:
             start = int(row["start_frame"])
             end = int(row["end_frame"])
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: frames must be integers") from exc
+            raise FormatError(f"{where}: frames must be integers") from exc
         score = row.get("score")
         score = float(score) if score is not None else -math.inf
         words.append(AlignedWord(word=word, start_frame=start, end_frame=end, score=score))

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -30,16 +30,15 @@ from .alts import (
 )
 from .core import (
     DEFAULT_BOUNDARY_MARKER,
-    LogProbMatrix,
     SpotterConfig,
     UtteranceRecord,
     Vocabulary,
     load_logprobs,
     load_manifest,
     load_vocabulary,
-    read_text,
+    read_jsonl,
 )
-from .errors import DataError, DimensionMismatchError, FormatError, InvalidValueError
+from .errors import DataError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
 from .merge import merge_ctc, merge_transducer
 from .metrics import evaluate, mine_biasing_list
@@ -141,6 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _replace_on_success(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file written beside path and moved over it when the block
+    completes, so a run that fails midway leaves an earlier output as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _load_vocab(args: argparse.Namespace) -> Vocabulary:
     return load_vocabulary(
         args.vocab,
@@ -215,16 +229,6 @@ def _decode_task(item: tuple[int, UtteranceRecord]):
         return idx, None, 0.0, f"{record.utterance_id}: {exc}"
 
 
-def _load_matrix(path: str, vocab: Vocabulary) -> LogProbMatrix:
-    """Load a log-prob matrix and check its width against the vocabulary."""
-    lp = load_logprobs(path)
-    if lp.vocab_size != vocab.size:
-        raise DimensionMismatchError(
-            f"{path}: {lp.vocab_size} columns != vocabulary size {vocab.size}"
-        )
-    return lp
-
-
 def _decode_utterance(
     record: UtteranceRecord,
     vocab: Vocabulary,
@@ -234,10 +238,10 @@ def _decode_utterance(
 ) -> tuple[str, float]:
     """Run the pipeline on one utterance; returns (JSON row, decode seconds).
 
-    The timer covers spotting, alignment, and merging only; file loads stay
-    outside it.
+    The timer covers alignment, which checks the matrix width before the
+    search, spotting, and merging; file loads stay outside it.
     """
-    lp = _load_matrix(record.logprob_path, vocab)
+    lp = load_logprobs(record.logprob_path)
     transducer: WordAlignment | None = None
     if mode == "transducer":
         if not record.transducer_alignment_path:
@@ -245,8 +249,8 @@ def _decode_utterance(
         transducer = load_transducer_alignment(record.transducer_alignment_path)
 
     t0 = time.perf_counter()
-    candidates = find_best_hyps(spot(lp, graph, cfg))
     greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
+    candidates = find_best_hyps(spot(lp, graph, cfg))
     blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
     if transducer is not None:
         result = merge_transducer(transducer, greedy, candidates, blank_scores)
@@ -290,10 +294,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.graph:
         graph = load_graph(args.graph, vocab)
-        if graph.blank_id is None:
-            graph = ContextGraph(
-                nodes=graph.nodes, canonicals=graph.canonicals, blank_id=vocab.blank_id
-            )
     else:
         entries, _ = _entries_from_args(args, vocab)
         graph = build_graph(entries, blank_id=vocab.blank_id)
@@ -322,12 +322,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 total_seconds += elapsed
 
     done = sum(r is not None for r in rows)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _replace_on_success(args.output) as fh:
         for row in rows:
             if row is not None:
                 fh.write(row + "\n")
     # timing lives beside the results so the results stay byte-stable
-    with open(args.output + ".meta.json", "w", encoding="utf-8") as fh:
+    with _replace_on_success(args.output + ".meta.json") as fh:
         json.dump({"decode_seconds": total_seconds, "utterances": done}, fh)
         fh.write("\n")
     print(f"decoded {done}/{len(records)} utterances in {total_seconds:.3f} s "
@@ -339,22 +339,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     hyps: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(args.results).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.results}:{lineno}: invalid JSON") from exc
-        if not isinstance(row, dict) or "id" not in row or "merged_text" not in row:
-            raise FormatError(f"{args.results}:{lineno}: rows need 'id' and 'merged_text'")
+    for where, row in read_jsonl(args.results, frozenset({"id", "merged_text"})):
         if not isinstance(row["id"], str) or not isinstance(row["merged_text"], str):
-            raise InvalidValueError(
-                f"{args.results}:{lineno}: 'id' and 'merged_text' must be strings"
-            )
+            raise InvalidValueError(f"{where}: 'id' and 'merged_text' must be strings")
         if row["id"] in hyps:
-            raise InvalidValueError(f"{args.results}:{lineno}: duplicate result id {row['id']!r}")
+            raise InvalidValueError(f"{where}: duplicate result id {row['id']!r}")
         hyps[row["id"]] = row["merged_text"]
 
     pairs: list[tuple[str, str]] = []
@@ -379,7 +368,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(pairs, biasing, decode_seconds=decode_seconds)
     payload = json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _replace_on_success(args.output) as fh:
             fh.write(payload)
         print(f"wer {report.wer:.2f}  fscore {report.fscore:.4f} "
               f"({report.precision:.4f}/{report.recall:.4f})  "
@@ -400,14 +389,14 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
         try:
             if record.text is None:
                 raise InvalidValueError("no reference text")
-            lp = _load_matrix(record.logprob_path, vocab)
+            lp = load_logprobs(record.logprob_path)
             pairs.append((record.text, greedy_ctc_align(lp, vocab).text))
         except Exception as exc:
             failures.append(f"{record.utterance_id}: {exc}")
     if not pairs:
         raise InvalidValueError("no utterance had both reference text and a readable matrix")
     mined = mine_biasing_list(pairs, min_len=args.min_len, max_accuracy=args.max_acc)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _replace_on_success(args.output) as fh:
         for term, _, _ in mined:
             fh.write(term + "\n")
     print(f"mined {len(mined)} terms from {len(pairs)} utterances -> {args.output}")
@@ -419,7 +408,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
 def cmd_gen_alts(args: argparse.Namespace) -> int:
     words, manual, dictionary = _read_lists(args)
     auto_alts = not args.no_auto_alts
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _replace_on_success(args.output) as fh:
         for word in words:
             variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
             fh.write("\t".join(variants) + "\n")

@@ -8,6 +8,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -179,6 +180,26 @@ def read_text(path: str) -> str:
         raise FormatError(f"{path}: not valid UTF-8 text") from exc
 
 
+def read_jsonl(path: str, required: frozenset[str]) -> Iterator[tuple[str, dict]]:
+    """Yield ("path:line", row) for each non-blank line of a UTF-8 JSON-lines file.
+
+    Raises FormatError for invalid JSON or a row that is not an object holding
+    every required key.
+    """
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON") from exc
+        if not isinstance(row, dict) or not required <= row.keys():
+            raise FormatError(f"{where}: rows need {', '.join(map(repr, sorted(required)))}")
+        yield where, row
+
+
 def load_vocabulary(
     path: str,
     blank_id: int | None = None,
@@ -266,35 +287,28 @@ def load_manifest(path: str) -> list[UtteranceRecord]:
 
     Relative paths resolve against the manifest's directory.  Utterance ids
     must be unique and non-empty.  Every field is a string; the optional
-    ones may also be null.
+    ones may also be null, and `logprobs` is non-empty.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON") from exc
-        if not isinstance(row, dict) or "id" not in row or "logprobs" not in row:
-            raise FormatError(f"{path}:{lineno}: manifest rows need 'id' and 'logprobs'")
+    for where, row in read_jsonl(path, frozenset({"id", "logprobs"})):
         uid = row["id"]
         if not isinstance(uid, str) or not uid:
-            raise InvalidValueError(f"{path}:{lineno}: utterance id must be a non-empty string")
+            raise InvalidValueError(f"{where}: utterance id must be a non-empty string")
         if uid in seen:
-            raise InvalidValueError(f"{path}:{lineno}: duplicate utterance id {uid!r}")
+            raise InvalidValueError(f"{where}: duplicate utterance id {uid!r}")
         seen.add(uid)
         logprobs = row["logprobs"]
         text = row.get("text")
         tali = row.get("transducer_alignment")
         if not isinstance(logprobs, str):
-            raise InvalidValueError(f"{path}:{lineno}: 'logprobs' must be a string")
+            raise InvalidValueError(f"{where}: 'logprobs' must be a string")
+        if not logprobs:
+            raise InvalidValueError(f"{where}: 'logprobs' is empty")
         for name, value in (("text", text), ("transducer_alignment", tali)):
             if value is not None and not isinstance(value, str):
-                raise InvalidValueError(f"{path}:{lineno}: {name!r} must be a string or null")
+                raise InvalidValueError(f"{where}: {name!r} must be a string or null")
         records.append(
             UtteranceRecord(
                 utterance_id=uid,

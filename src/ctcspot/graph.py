@@ -69,7 +69,7 @@ class ContextGraph:
 
     nodes: list[_Node]
     canonicals: tuple[str, ...]
-    blank_id: int | None = None
+    blank_id: int
     # largest token id in the trie (-1 if empty), computed once for spot's width
     # check, so nodes must not change after the graph is made
     max_token_id: int = field(init=False)
@@ -82,16 +82,17 @@ class ContextGraph:
         return len(self.nodes)
 
 
-def build_graph(entries: list[BiasingEntry], blank_id: int | None = None) -> ContextGraph:
+def build_graph(entries: list[BiasingEntry], blank_id: int) -> ContextGraph:
     """Insert every transcription of every entry into a shared prefix trie.
 
-    A transcription identical to an earlier entry's is reported and dropped
-    (first entry wins).  Entry order only affects node numbering.
+    A transcription containing blank_id is rejected.  One identical to an
+    earlier entry's is reported and dropped (first entry wins).  Entry order
+    only affects node numbering.
     """
     nodes = [_Node(token_id=-1, parent=ROOT)]
     for entry_id, entry in enumerate(entries):
         for seq in entry.transcriptions:
-            if blank_id is not None and blank_id in seq:
+            if blank_id in seq:
                 raise InvalidValueError(f"{entry.canonical!r}: transcription contains the blank id")
             at = ROOT
             for tok in seq:
@@ -161,28 +162,26 @@ def _segment_word(word: str, vocab: Vocabulary) -> list[int]:
     n = len(word)
     max_len = vocab.max_token_len
     infeasible = n + 1
-    # pieces[i] = fewest pieces covering word[i:]
+    # pieces[i] = fewest pieces covering word[i:]; choice[i] = (length, token id)
+    # of the longest first piece that achieves it
     pieces = [infeasible] * (n + 1)
     pieces[n] = 0
+    choice = [(0, 0)] * n
     for i in range(n - 1, -1, -1):
-        for k in range(1, min(max_len, n - i) + 1):
-            if pieces[i + k] + 1 < pieces[i] and _match_token(word, i, k, vocab) is not None:
-                pieces[i] = pieces[i + k] + 1
+        for k in range(min(max_len, n - i), 0, -1):
+            if pieces[i + k] + 1 < pieces[i]:
+                tid = _match_token(word, i, k, vocab)
+                if tid is not None:
+                    pieces[i] = pieces[i + k] + 1
+                    choice[i] = (k, tid)
     if pieces[0] >= infeasible:
         raise UnsegmentableError(f"{word!r} is not coverable by the vocabulary")
     out: list[int] = []
     i = 0
     while i < n:
-        # longest piece that still completes with the fewest total pieces
-        for k in range(min(max_len, n - i), 0, -1):
-            if pieces[i + k] + 1 == pieces[i]:
-                tid = _match_token(word, i, k, vocab)
-                if tid is not None:
-                    out.append(tid)
-                    i += k
-                    break
-        else:  # pragma: no cover - unreachable once pieces[0] is feasible
-            raise UnsegmentableError(f"{word!r} is not coverable by the vocabulary")
+        k, tid = choice[i]
+        out.append(tid)
+        i += k
     return out
 
 
@@ -229,7 +228,6 @@ def vocab_fingerprint(vocab: Vocabulary) -> bytes:
 
 def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
     """Serialize the graph with the vocabulary fingerprint embedded."""
-    blank = -1 if graph.blank_id is None else graph.blank_id
     with open(path, "wb") as fh:
         fh.write(
             _G_HEADER.pack(
@@ -240,7 +238,7 @@ def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
                 vocab_fingerprint(vocab),
                 len(graph.nodes),
                 len(graph.canonicals),
-                blank,
+                graph.blank_id,
             )
         )
         for n in graph.nodes:
@@ -254,10 +252,12 @@ def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
 def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
     """Load a serialized graph, refusing one built against a different vocabulary.
 
-    Everything build_graph guarantees is checked: the root comes first,
-    every node follows its parent, a parent has at most one child per token,
-    non-root tokens are vocabulary ids other than the blank, the end flag
-    is set exactly on nodes with an entry id, entry ids index the entry
+    The header's blank id must be the vocabulary's, or -1 in files written
+    without one; the graph returned carries the vocabulary's.  Everything
+    build_graph guarantees is checked: the root comes first, every node
+    follows its parent, a parent has at most one child per token, non-root
+    tokens are vocabulary ids other than the vocabulary's blank, the end
+    flag is set exactly on nodes with an entry id, entry ids index the entry
     table, and canonicals are non-empty UTF-8.
     """
     with open(path, "rb") as fh:
@@ -271,7 +271,7 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
         raise FormatError(f"{path}: unsupported graph version {version}")
     if digest != vocab_fingerprint(vocab):
         raise VocabularyMismatchError(f"{path}: graph was built against a different vocabulary")
-    if blank >= 0 and blank != vocab.blank_id:
+    if blank not in (-1, vocab.blank_id):
         raise VocabularyMismatchError(
             f"{path}: graph blank id {blank} != vocabulary blank id {vocab.blank_id}"
         )
@@ -294,7 +294,7 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
                 raise FormatError(f"{path}: node 0 is not a root")
         elif not parent < i:
             raise FormatError(f"{path}: node {i} precedes its parent")
-        elif not 0 <= token_id < vocab.size or token_id == blank:
+        elif not 0 <= token_id < vocab.size or token_id == vocab.blank_id:
             raise FormatError(f"{path}: node {i} has token id {token_id}")
         elif token_id in nodes[parent].children:
             raise FormatError(f"{path}: node {i} repeats token {token_id} under node {parent}")
@@ -319,8 +319,4 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
         offset += length
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return ContextGraph(
-        nodes=nodes,
-        canonicals=tuple(canonicals),
-        blank_id=None if blank < 0 else blank,
-    )
+    return ContextGraph(nodes=nodes, canonicals=tuple(canonicals), blank_id=vocab.blank_id)

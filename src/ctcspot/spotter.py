@@ -8,17 +8,16 @@ child's token and move).  Reaching an end-of-word node reports a candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import LogProbMatrix, SpotterConfig
-from .errors import DimensionMismatchError, InvalidValueError
+from .errors import DimensionMismatchError
 from .graph import ROOT, ContextGraph
 
 
-@dataclass(frozen=True)
-class SpottedCandidate:
+class SpottedCandidate(NamedTuple):
     """A detected biasing entry spanning the closed frame interval."""
 
     entry_id: int
@@ -69,8 +68,6 @@ def spot(
     if cfg is None:
         cfg = SpotterConfig()
     blank = graph.blank_id
-    if blank is None:
-        raise InvalidValueError("graph has no blank id; build it with blank_id set")
     values = logprobs.values
     frames, width = values.shape
     if graph.max_token_id >= width or blank >= width:

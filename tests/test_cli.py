@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import log_softmax_rows
-from ctcspot import LogProbMatrix, write_logprobs
+from ctcspot import (
+    BiasingEntry,
+    LogProbMatrix,
+    build_graph,
+    load_vocabulary,
+    save_graph,
+    write_logprobs,
+)
+from ctcspot import cli
 from ctcspot.cli import main
+from ctcspot.graph import _G_HEADER
 
 
 @pytest.fixture
@@ -193,6 +202,27 @@ class TestDecode:
         assert read_rows(out) == []
         meta = json.loads((corpus / "out.jsonl.meta.json").read_text())
         assert meta["utterances"] == 0
+
+    def test_graph_spelling_a_word_with_the_blank_is_a_data_error(self, corpus, caplog):
+        # a file written without a blank (header -1) whose "ghost" is the
+        # vocabulary's blank token <b> (id 3)
+        vocab = load_vocabulary(str(corpus / "vocab.txt"))
+        entries = [BiasingEntry(canonical=w, transcriptions=((t,),)) for w, t in
+                   (("a", 0), ("ghost", 3))]
+        ghost = corpus / "ghost.graph"
+        save_graph(build_graph(entries, blank_id=2), str(ghost), vocab)
+        raw = bytearray(ghost.read_bytes())
+        _G_HEADER.pack_into(raw, 0, *_G_HEADER.unpack_from(raw)[:-1], -1)
+        ghost.write_bytes(bytes(raw))
+        out = corpus / "out.jsonl"
+        code = main(
+            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+             "--graph", str(ghost), "--output", str(out)]
+        )
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{ghost}: node 2 has token id 3"]
+        assert not out.exists()
 
     def test_unreadable_matrix_skips_row(self, corpus):
         (corpus / "u1.bin").write_bytes(b"not a matrix at all")
@@ -481,7 +511,7 @@ class TestBadTextInputs:
 
 
 class TestNonStringFields:
-    """A JSON field of the wrong type is a data error naming file and line."""
+    """A JSON field of the wrong type or an empty path is a data error naming file and line."""
 
     STRINGS = "'id' and 'merged_text' must be strings"
 
@@ -499,9 +529,10 @@ class TestNonStringFields:
             ("decode", "manifest.jsonl",
              {"id": "u1", "logprobs": "u1.bin", "transducer_alignment": 5},
              "'transducer_alignment' must be a string or null"),
+            ("decode", "manifest.jsonl", {"id": "u1", "logprobs": ""}, "'logprobs' is empty"),
         ],
         ids=["eval-id", "eval-merged_text", "eval-text", "mine-list-logprobs",
-             "decode-logprobs", "decode-transducer_alignment"],
+             "decode-logprobs", "decode-transducer_alignment", "decode-empty-logprobs"],
     )
     def test_exits_2_with_one_line(self, corpus, caplog, command, name, row, message):
         first = {"id": "u0", "merged_text": "a"} if name == "out.jsonl" else {
@@ -523,6 +554,71 @@ class TestNonStringFields:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{corpus / name}:2: {message}"]
         assert "Traceback" not in caplog.text
+
+
+class TestWrongWidthMatrix:
+    """A matrix one column off the vocabulary size fails only its utterance."""
+
+    @pytest.mark.parametrize("width", [3, 5], ids=["one-too-few", "one-too-many"])
+    @pytest.mark.parametrize("command", ["decode", "mine-list"])
+    def test_fails_the_utterance(self, corpus, caplog, capsys, command, width):
+        values = log_softmax_rows(np.zeros((4, width)))
+        write_logprobs(LogProbMatrix(values=values, normalized=True), str(corpus / "u1.bin"))
+        out = corpus / "out.txt"
+        argv = [command, *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+                "--output", str(out)]
+        if command == "decode":
+            argv += ["--context-list", str(corpus / "ctx.txt")]
+        assert main(argv) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"u1: matrix has {width} columns, vocabulary has 4 tokens"]
+        if command == "decode":
+            assert [r["id"] for r in read_rows(out)] == ["u2"]
+        else:
+            assert out.read_text() == ""
+            assert "from 1 utterances" in capsys.readouterr().out
+
+
+class TestOutputReplacedOnlyWhenComplete:
+    """A command failing while it writes leaves an earlier output as it was."""
+
+    def test_gen_alts(self, tmp_path, monkeypatch):
+        (tmp_path / "ctx.txt").write_text("gpu\nrtx\n", encoding="utf-8")
+        out = tmp_path / "expanded.txt"
+        out.write_text("earlier\n", encoding="utf-8")
+        written = []
+        variants = cli.spelling_variants
+
+        def fail_on_second_word(word, *rest):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(word)
+            return variants(word, *rest)
+
+        monkeypatch.setattr(cli, "spelling_variants", fail_on_second_word)
+        code = main(["gen-alts", "--context-list", str(tmp_path / "ctx.txt"),
+                     "--output", str(out)])
+        assert code == 2
+        assert written == ["gpu"]
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ctx.txt", "expanded.txt"]
+
+    def test_decode_sidecar(self, corpus, monkeypatch):
+        meta = corpus / "out.jsonl.meta.json"
+        meta.write_text("earlier\n", encoding="utf-8")
+        before = sorted(p.name for p in corpus.iterdir())
+
+        def fail(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", fail)
+        code = main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+                     "--context-list", str(corpus / "ctx.txt"),
+                     "--output", str(corpus / "out.jsonl")])
+        assert code == 2
+        assert meta.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in corpus.iterdir()) == sorted(before + ["out.jsonl"])
 
 
 def test_console_script_runs(corpus):

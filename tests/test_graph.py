@@ -269,11 +269,36 @@ def _patch_node(path, index: int, **fields) -> None:
     path.write_bytes(bytes(raw))
 
 
+def _patch_header_blank(path, blank: int) -> None:
+    """Overwrite the blank id in a saved graph's header."""
+    raw = bytearray(path.read_bytes())
+    fields = list(_G_HEADER.unpack_from(raw))
+    fields[-1] = blank
+    _G_HEADER.pack_into(raw, 0, *fields)
+    path.write_bytes(bytes(raw))
+
+
 class TestLoadGraphChecks:
     def test_saved_graph_loads(self, tmp_path):
         vocab, path = _saved_gpu_up(tmp_path)
         g = load_graph(str(path), vocab)
         assert [n.entry_id for n in g.nodes] == [-1, -1, -1, 0, -1, 1]
+        assert g.blank_id == vocab.blank_id
+
+    def test_header_without_blank_loads_with_the_vocabulary_blank(self, tmp_path):
+        vocab, path = _saved_gpu_up(tmp_path)
+        _patch_header_blank(path, -1)
+        assert load_graph(str(path), vocab).blank_id == vocab.blank_id
+
+    def test_header_without_blank_still_rejects_the_vocabulary_blank(self, tmp_path):
+        # "ghost" is spelled with <b>, the blank of char_vocab("gpu") (id 4)
+        vocab = char_vocab("gpu")
+        g = build_graph([entry("gpu", tokenize("gpu", vocab)), entry("ghost", [4])], blank_id=3)
+        path = tmp_path / "ghost.graph"
+        save_graph(g, str(path), vocab)
+        _patch_header_blank(path, -1)
+        with pytest.raises(FormatError, match="node 4 has token id 4"):
+            load_graph(str(path), vocab)
 
     @pytest.mark.parametrize(
         "index, fields",
@@ -328,8 +353,6 @@ class TestLoadGraphChecks:
             g = load_graph(str(path), vocab)
         except DataError:
             return
-        if g.blank_id is None:
-            g.blank_id = vocab.blank_id  # as decode does for a blank-less graph
         lp = random_matrix(np.random.default_rng(0), 12, vocab.size)
         for c in spot(lp, g):
             assert c.word == g.canonicals[c.entry_id]

@@ -17,7 +17,6 @@ from ctcspot import (
     BiasingEntry,
     ContextGraph,
     DimensionMismatchError,
-    InvalidValueError,
     LogProbMatrix,
     SpotterConfig,
     SpottedCandidate,
@@ -332,11 +331,6 @@ class TestGolden:
 
 
 class TestValidation:
-    def test_graph_without_blank(self):
-        graph = build_graph([BiasingEntry(canonical="w", transcriptions=((1,),))])
-        with pytest.raises(InvalidValueError):
-            spot(one_hot_matrix([1], width=2), graph)
-
     def test_token_id_exceeds_width(self):
         _, graph = entries_graph((4,))
         with pytest.raises(DimensionMismatchError):
