@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbMatrix, Vocabulary, read_jsonl
+from .core import LogProbMatrix, SpotterConfig, Vocabulary, finite_number, read_jsonl
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -54,7 +54,7 @@ class WordAlignment:
 
 
 def greedy_ctc_align(
-    logprobs: LogProbMatrix, vocab: Vocabulary, ctc_w: float = 0.5
+    logprobs: LogProbMatrix, vocab: Vocabulary, ctc_w: float = SpotterConfig.ctc_w
 ) -> WordAlignment:
     """Word alignment of the greedy (argmax) CTC decode.
 
@@ -126,22 +126,24 @@ def greedy_ctc_align(
 def load_transducer_alignment(path: str) -> WordAlignment:
     """Read a transducer word alignment: JSON lines sorted by start frame.
 
-    Each row is {"word", "start_frame", "end_frame", "score"?}; a missing
-    score becomes -inf (the word then never outscores a candidate on its
-    own).  Overlapping, unsorted, or negative intervals are rejected.
+    Each row is {"word", "start_frame", "end_frame", "score"?}: frames are
+    JSON integers and a score, when present, a finite number (booleans are
+    neither).  A missing score becomes -inf (the word then never outscores a
+    candidate on its own).  Overlapping, unsorted, or negative intervals are
+    rejected.
     """
     words: list[AlignedWord] = []
     for where, row in read_jsonl(path, frozenset({"word", "start_frame", "end_frame"})):
         word = row["word"]
         if not isinstance(word, str) or not word:
             raise InvalidValueError(f"{where}: empty word")
-        try:
-            start = int(row["start_frame"])
-            end = int(row["end_frame"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{where}: frames must be integers") from exc
+        start, end = row["start_frame"], row["end_frame"]
+        if type(start) is not int or type(end) is not int:  # bool is an int subclass
+            raise FormatError(f"{where}: frames must be integers")
         score = row.get("score")
-        score = float(score) if score is not None else -math.inf
+        score = -math.inf if score is None else finite_number(score)
+        if score is None:
+            raise FormatError(f"{where}: score must be a finite number")
         words.append(AlignedWord(word=word, start_frame=start, end_frame=end, score=score))
     frames = max((w.end_frame for w in words), default=-1) + 1
     return WordAlignment(words=tuple(words), frames=frames)

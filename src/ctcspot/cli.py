@@ -33,6 +33,7 @@ from .core import (
     SpotterConfig,
     UtteranceRecord,
     Vocabulary,
+    finite_number,
     load_logprobs,
     load_manifest,
     load_vocabulary,
@@ -41,7 +42,7 @@ from .core import (
 from .errors import DataError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
 from .merge import merge_ctc, merge_transducer
-from .metrics import evaluate, mine_biasing_list
+from .metrics import DEFAULT_MAX_ACCURACY, DEFAULT_MIN_TERM_LEN, evaluate, mine_biasing_list
 from .spotter import find_best_hyps, spot
 
 logger = logging.getLogger("ctcspot")
@@ -126,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vocab_args(p)
     p.add_argument("--manifest", required=True, help="manifest holding reference text")
     p.add_argument("--output", required=True, help="mined term list to write")
-    p.add_argument("--min-len", type=int, default=3, help="minimum term length in characters")
-    p.add_argument("--max-acc", type=float, default=0.5,
+    p.add_argument("--min-len", type=int, default=DEFAULT_MIN_TERM_LEN,
+                   help="minimum term length in characters")
+    p.add_argument("--max-acc", type=float, default=DEFAULT_MAX_ACCURACY,
                    help="keep terms recognized at most this fraction of the time")
     p.set_defaults(func=cmd_mine_list)
 
@@ -218,15 +220,14 @@ def _init_worker(vocab: Vocabulary, graph: ContextGraph, cfg: SpotterConfig, mod
     _WORK["mode"] = mode
 
 
-def _decode_task(item: tuple[int, UtteranceRecord]):
-    idx, record = item
+def _decode_task(record: UtteranceRecord):
     try:
         row, elapsed = _decode_utterance(
             record, _WORK["vocab"], _WORK["graph"], _WORK["cfg"], _WORK["mode"]
         )
-        return idx, row, elapsed, None
+        return row, elapsed, None
     except Exception as exc:  # one bad utterance must not kill the batch
-        return idx, None, 0.0, f"{record.utterance_id}: {exc}"
+        return None, 0.0, f"{record.utterance_id}: {exc}"
 
 
 def _decode_utterance(
@@ -299,33 +300,30 @@ def cmd_decode(args: argparse.Namespace) -> int:
         graph = build_graph(entries, blank_id=vocab.blank_id)
     records = load_manifest(args.manifest)
 
-    rows: list[str | None] = [None] * len(records)
     failures: list[str] = []
+    done = 0
     total_seconds = 0.0
-    tasks = list(enumerate(records))
     with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_replace_on_success(args.output))
         if args.workers <= 1:
             _init_worker(vocab, graph, cfg, args.mode)
-            results = map(_decode_task, tasks)
+            results = map(_decode_task, records)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=args.workers,
                 initializer=_init_worker,
                 initargs=(vocab, graph, cfg, args.mode),
             ))
-            results = pool.map(_decode_task, tasks)
-        for idx, row, elapsed, error in results:
+            results = pool.map(_decode_task, records)
+        # map and pool.map both yield results in manifest order
+        for row, elapsed, error in results:
             if error is not None:
                 failures.append(error)
             else:
-                rows[idx] = row
+                out.write(row + "\n")
+                done += 1
                 total_seconds += elapsed
 
-    done = sum(r is not None for r in rows)
-    with _replace_on_success(args.output) as fh:
-        for row in rows:
-            if row is not None:
-                fh.write(row + "\n")
     # timing lives beside the results so the results stay byte-stable
     with _replace_on_success(args.output + ".meta.json") as fh:
         json.dump({"decode_seconds": total_seconds, "utterances": done}, fh)
@@ -362,8 +360,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     decode_seconds = 0.0
     meta_path = args.results + ".meta.json"
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            decode_seconds = float(json.load(fh).get("decode_seconds", 0.0))
+        for where, meta in read_jsonl(meta_path, frozenset()):
+            decode_seconds = finite_number(meta.get("decode_seconds", 0.0))
+            if decode_seconds is None:
+                raise InvalidValueError(f"{where}: 'decode_seconds' must be a finite number")
 
     report = evaluate(pairs, biasing, decode_seconds=decode_seconds)
     payload = json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n"

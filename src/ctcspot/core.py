@@ -195,9 +195,22 @@ def read_jsonl(path: str, required: frozenset[str]) -> Iterator[tuple[str, dict]
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{where}: invalid JSON") from exc
-        if not isinstance(row, dict) or not required <= row.keys():
+        if not isinstance(row, dict):
+            raise FormatError(f"{where}: rows must be JSON objects")
+        if not required <= row.keys():
             raise FormatError(f"{where}: rows need {', '.join(map(repr, sorted(required)))}")
         yield where, row
+
+
+def finite_number(value: object) -> float | None:
+    """A parsed JSON number as a finite float, or None for anything else, booleans included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 def load_vocabulary(

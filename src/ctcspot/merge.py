@@ -49,34 +49,7 @@ def merge_ctc(
     candidate overlapping no words is compared against the blank mass of its
     interval (`blank_scores`: per-frame ctc_w-weighted blank log-probs).
     """
-    ordered = sorted(candidates, key=lambda c: (c.start_frame, c.end_frame))
-    kept = list(alignment.words)
-    decisions: list[MergeDecision] = []
-    for cand in ordered:
-        over = [w for w in kept if _touches(w, cand)]
-        if over:
-            threshold = sum(w.score for w in over)
-        elif blank_scores is not None:
-            threshold = float(sum(blank_scores[cand.start_frame:cand.end_frame + 1]))
-        else:
-            threshold = math.inf
-        accepted = cand.score > threshold
-        decisions.append(
-            MergeDecision(
-                candidate=cand,
-                overlapped_words=tuple(over),
-                greedy_score_sum=threshold,
-                accepted=accepted,
-            )
-        )
-        if accepted and over:
-            kept = [w for w in kept if not _touches(w, cand)]
-    words = _splice(alignment.words, [d.candidate for d in decisions if d.accepted])
-    return MergeResult(
-        text=" ".join(w.word for w in words),
-        decisions=tuple(decisions),
-        words=words,
-    )
+    return _result(alignment.words, _decide(alignment, candidates, blank_scores))
 
 
 def merge_transducer(
@@ -101,13 +74,37 @@ def merge_transducer(
             f"transducer word {words[-1].word!r} ends at frame {words[-1].end_frame}, "
             f"the CTC matrix has {ctc_alignment.frames} frames"
         )
-    filtered = merge_ctc(ctc_alignment, candidates, blank_scores)
-    words = _splice(words, [d.candidate for d in filtered.decisions if d.accepted])
-    return MergeResult(
-        text=" ".join(w.word for w in words),
-        decisions=filtered.decisions,
-        words=words,
-    )
+    return _result(words, _decide(ctc_alignment, candidates, blank_scores))
+
+
+def _decide(
+    alignment: WordAlignment,
+    candidates: Sequence[SpottedCandidate],
+    blank_scores: Sequence[float] | None,
+) -> tuple[MergeDecision, ...]:
+    """Each candidate's accept/reject decision against a CTC alignment, in frame order."""
+    kept = list(alignment.words)
+    decisions: list[MergeDecision] = []
+    for cand in sorted(candidates, key=lambda c: (c.start_frame, c.end_frame)):
+        over = [w for w in kept if _touches(w, cand)]
+        if over:
+            threshold = sum(w.score for w in over)
+        elif blank_scores is not None:
+            threshold = float(sum(blank_scores[cand.start_frame:cand.end_frame + 1]))
+        else:
+            threshold = math.inf
+        accepted = cand.score > threshold
+        decisions.append(
+            MergeDecision(
+                candidate=cand,
+                overlapped_words=tuple(over),
+                greedy_score_sum=threshold,
+                accepted=accepted,
+            )
+        )
+        if accepted and over:
+            kept = [w for w in kept if not _touches(w, cand)]
+    return tuple(decisions)
 
 
 def _touches(word: AlignedWord, cand: SpottedCandidate) -> bool:
@@ -115,13 +112,13 @@ def _touches(word: AlignedWord, cand: SpottedCandidate) -> bool:
     return word.start_frame <= cand.end_frame and cand.start_frame <= word.end_frame
 
 
-def _splice(
-    words: Sequence[AlignedWord], accepted: Sequence[SpottedCandidate]
-) -> tuple[AlignedWord, ...]:
-    """Replace the words each accepted candidate touches with the candidate, in frame order."""
+def _result(words: Sequence[AlignedWord], decisions: tuple[MergeDecision, ...]) -> MergeResult:
+    """The words with each accepted candidate replacing the words it touches, in frame order."""
+    accepted = [d.candidate for d in decisions if d.accepted]
     kept = [w for w in words if not any(_touches(w, c) for c in accepted)]
     inserted = [
         AlignedWord(word=c.word, start_frame=c.start_frame, end_frame=c.end_frame, score=c.score)
         for c in accepted
     ]
-    return tuple(sorted(kept + inserted, key=lambda w: (w.start_frame, w.end_frame)))
+    spliced = tuple(sorted(kept + inserted, key=lambda w: (w.start_frame, w.end_frame)))
+    return MergeResult(text=" ".join(w.word for w in spliced), decisions=decisions, words=spliced)

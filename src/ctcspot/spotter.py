@@ -176,36 +176,22 @@ def find_best_hyps(candidates: list[SpottedCandidate]) -> list[SpottedCandidate]
 
     Closed intervals [s1,e1] and [s2,e2] overlap iff s1 <= e2 and s2 <= e1;
     clusters are the transitive closure of that relation.  The winner has the
-    highest score, ties broken by longer interval, then lexicographic word.
-    Output is sorted by start frame.
+    highest score, ties broken by longer interval, then lexicographic word;
+    of equal ranks the first is kept.  Output is sorted by start frame.
     """
-    if not candidates:
-        return []
-    ordered = sorted(candidates, key=lambda c: (c.start_frame, c.end_frame))
-    clusters: list[list[SpottedCandidate]] = []
-    cluster = [ordered[0]]
-    reach = ordered[0].end_frame
-    for cand in ordered[1:]:
-        if cand.start_frame <= reach:
-            cluster.append(cand)
-            reach = max(reach, cand.end_frame)
+    # clusters are disjoint and met in (start, end) order, so their winners
+    # come out sorted by start frame
+    winners: list[SpottedCandidate] = []
+    for cand in sorted(candidates, key=lambda c: (c.start_frame, c.end_frame)):
+        entry, word, start, end, score = cand
+        rank = (-score, start - end, word, start, entry)  # longer interval first
+        if winners and start <= reach:
+            if rank < best_rank:
+                winners[-1] = cand
+                best_rank = rank
+            reach = max(reach, end)
         else:
-            clusters.append(cluster)
-            cluster = [cand]
-            reach = cand.end_frame
-    clusters.append(cluster)
-    winners = [
-        min(
-            cl,
-            key=lambda c: (
-                -c.score,
-                c.start_frame - c.end_frame,  # longer interval first
-                c.word,
-                c.start_frame,
-                c.entry_id,
-            ),
-        )
-        for cl in clusters
-    ]
-    winners.sort(key=lambda c: c.start_frame)
+            winners.append(cand)
+            best_rank = rank
+            reach = end
     return winners

@@ -228,11 +228,27 @@ class TestLoadTransducerAlignment:
         with pytest.raises(FormatError):
             load_transducer_alignment(self.write(tmp_path, ['{"word": "x", "start_frame": 0}']))
 
-    def test_non_integer_frames(self, tmp_path):
-        with pytest.raises(FormatError):
-            load_transducer_alignment(
-                self.write(tmp_path, ['{"word": "x", "start_frame": "a", "end_frame": 2}'])
-            )
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"start_frame": "a", "end_frame": 2',
+            '"start_frame": 0.9, "end_frame": 2',
+            '"start_frame": 0, "end_frame": 2.7',
+            '"start_frame": "1", "end_frame": 2',
+            '"start_frame": true, "end_frame": 2',
+            '"start_frame": 0, "end_frame": 2, "score": "nan"',
+            '"start_frame": 0, "end_frame": 2, "score": NaN',
+            '"start_frame": 0, "end_frame": 2, "score": Infinity',
+            '"start_frame": 0, "end_frame": 2, "score": true',
+            '"start_frame": 0, "end_frame": 2, "score": "high"',
+            '"start_frame": 0, "end_frame": 2, "score": [1]',
+        ],
+        ids=["frame-a", "frame-0.9", "frame-2.7", "frame-string", "frame-true", "score-nan-string",
+             "score-NaN", "score-Infinity", "score-true", "score-high", "score-list"],
+    )
+    def test_bad_field_type_is_format_error(self, tmp_path, fields):
+        with pytest.raises(FormatError, match="align.jsonl:1: "):
+            load_transducer_alignment(self.write(tmp_path, ['{"word": "x", ' + fields + "}"]))
 
     def test_empty_word(self, tmp_path):
         with pytest.raises(InvalidValueError):

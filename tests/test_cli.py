@@ -310,6 +310,28 @@ class TestEval:
         assert self.run_eval(corpus, results="dup.jsonl") == 2
         assert "dup.jsonl:2: duplicate result id 'u1'" in caplog.text
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"decode_seconds": "abc"}', "[]", "{nope", '{"decode_seconds": NaN}',
+         '{"decode_seconds": true}'],
+        ids=["string", "array", "invalid-json", "NaN", "true"],
+    )
+    def test_bad_sidecar_exits_2_with_one_line(self, corpus, caplog, content):
+        self.decode_first(corpus)
+        meta = corpus / "out.jsonl.meta.json"
+        meta.write_text(content + "\n", encoding="utf-8")
+        assert self.run_eval(corpus) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"{meta}:1: ")
+        assert "Traceback" not in caplog.text
+
+    def test_missing_sidecar_reads_zero_seconds(self, corpus, capsys):
+        self.decode_first(corpus)
+        (corpus / "out.jsonl.meta.json").unlink()
+        capsys.readouterr()
+        assert self.run_eval(corpus) == 0
+        assert json.loads(capsys.readouterr().out)["decode_seconds"] == 0.0
+
 
 class TestMineList:
     def test_mines_misrecognized_terms(self, corpus, capsys):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ctcspot import (
@@ -181,7 +181,44 @@ class TestMergeCtc:
         WordAlignment(words=got.words, frames=frames)
 
 
+def random_words(rng: np.random.Generator, frames: int, prefix: str) -> list[AlignedWord]:
+    """Sorted, non-overlapping words with random gaps, lengths and scores."""
+    words = []
+    t = int(rng.integers(0, 3))
+    while t < frames:
+        end = min(frames - 1, t + int(rng.integers(0, 4)))
+        words.append(word(f"{prefix}{len(words)}", t, end, float(rng.normal(-3, 2))))
+        t = end + 1 + int(rng.integers(0, 3))
+    return words
+
+
 class TestMergeTransducer:
+    @seed(4044)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_decides_as_merge_ctc_and_splices_transducer_words(self, seed):
+        rng = np.random.default_rng(seed)
+        frames = 30
+        ctc = alignment(*random_words(rng, frames, "g"), frames=frames)
+        transducer = alignment(*random_words(rng, frames, "t"), frames=frames)
+        cands = []
+        for i in range(int(rng.integers(0, 5))):
+            s = int(rng.integers(0, frames))
+            e = min(frames - 1, s + int(rng.integers(0, 6)))
+            cands.append(cand(f"c{i}", s, e, float(rng.normal(-3, 3)), entry_id=i))
+        blanks = rng.normal(-1.0, 0.5, size=frames).tolist() if rng.random() < 0.7 else None
+        got = merge_transducer(transducer, ctc, cands, blanks)
+        assert got.decisions == merge_ctc(ctc, cands, blanks).decisions
+        accepted = [d.candidate for d in got.decisions if d.accepted]
+        expected = [
+            w for w in transducer.words
+            if not any(w.start_frame <= c.end_frame and c.start_frame <= w.end_frame
+                       for c in accepted)
+        ] + [word(c.word, c.start_frame, c.end_frame, c.score) for c in accepted]
+        expected.sort(key=lambda w: (w.start_frame, w.end_frame))
+        assert got.words == tuple(expected)
+        assert got.text == " ".join(w.word for w in expected)
+
     def test_decisions_come_from_ctc_words(self):
         transducer = alignment(word("see", 0, 2, -50.0), word("pew", 4, 6, -50.0), frames=10)
         ctc = alignment(word("cpu", 0, 6, -4.0), frames=10)

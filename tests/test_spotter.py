@@ -358,7 +358,47 @@ def cand(word: str, start: int, end: int, score: float, entry_id: int = 0) -> Sp
     )
 
 
+def cluster_min_sort_reference(candidates: list[SpottedCandidate]) -> list[SpottedCandidate]:
+    """Overlap resolution in three passes: cluster lists, a min per cluster, a sort."""
+    if not candidates:
+        return []
+    ordered = sorted(candidates, key=lambda c: (c.start_frame, c.end_frame))
+    clusters = [[ordered[0]]]
+    reach = ordered[0].end_frame
+    for c in ordered[1:]:
+        if c.start_frame <= reach:
+            clusters[-1].append(c)
+            reach = max(reach, c.end_frame)
+        else:
+            clusters.append([c])
+            reach = c.end_frame
+    winners = [
+        min(cl, key=lambda c: (-c.score, c.start_frame - c.end_frame, c.word, c.start_frame,
+                               c.entry_id))
+        for cl in clusters
+    ]
+    return sorted(winners, key=lambda c: c.start_frame)
+
+
 class TestFindBestHyps:
+    @seed(4043)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_cluster_min_sort_reference(self, data):
+        # narrow ranges give repeated intervals, equal scores and equal words
+        raw = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "ab"]),
+                st.integers(0, 20),
+                st.integers(0, 4),
+                st.sampled_from([-2.0, -1.0, 0.0, 0.5]),
+                st.integers(0, 3),
+            ),
+            max_size=25,
+        ))
+        cands = [cand(w, s, s + n, sc, entry_id=e) for w, s, n, sc, e in raw]
+        assert find_best_hyps(cands) == cluster_min_sort_reference(cands)
+
     def test_empty(self):
         assert find_best_hyps([]) == []
 
