@@ -17,7 +17,6 @@ from .alts import (
     compound_split,
     expand_entries,
     load_context_list,
-    load_manual_alts,
     load_wordlist,
 )
 from .core import (
@@ -45,7 +44,6 @@ from .graph import (
     BiasingEntry,
     ContextGraph,
     build_graph,
-    export_dot,
     load_graph,
     save_graph,
     tokenize,
@@ -99,7 +97,6 @@ __all__ = [
     "edit_distance",
     "evaluate",
     "expand_entries",
-    "export_dot",
     "find_best_hyps",
     "fscore",
     "fuse_phrases",
@@ -108,7 +105,6 @@ __all__ = [
     "load_graph",
     "load_logprobs",
     "load_manifest",
-    "load_manual_alts",
     "load_transducer_alignment",
     "load_vocabulary",
     "load_wordlist",

@@ -54,9 +54,6 @@ class WordCostDictionary:
             return math.inf
         return math.log((rank + 1) * self._log_size)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._ranks
-
 
 def load_wordlist(path: str) -> WordCostDictionary:
     """Read a frequency-ranked word list (one word per line, best first)."""
@@ -203,7 +200,3 @@ def collect_alts(rows: Iterable[tuple[str, Sequence[str]]]) -> dict[str, tuple[s
             alts.setdefault(word, []).extend(spellings)
     return {w: tuple(s) for w, s in alts.items()}
 
-
-def load_manual_alts(path: str) -> dict[str, tuple[str, ...]]:
-    """Read manual alternative spellings: word[TAB alt]+ per line."""
-    return collect_alts(load_context_list(path))

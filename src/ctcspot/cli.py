@@ -181,7 +181,8 @@ def _read_lists(
 
 
 def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
-    """Context-list words and their spellings, expanded to entries."""
+    """Context-list words and their spellings, expanded to entries, and the
+    number of words dropped as unsegmentable (logged as an error)."""
     words, manual, dictionary = _read_lists(args)
     entries = expand_entries(
         words,
@@ -190,12 +191,15 @@ def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
         manual_alts=manual,
         auto_alts=not args.no_auto_alts,
     )
-    return entries, len(words)
+    dropped = len(words) - len(entries)
+    if dropped:
+        logger.error("%d of %d entries were unsegmentable and dropped", dropped, len(words))
+    return entries, dropped
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
     vocab = _load_vocab(args)
-    entries, requested = _entries_from_args(args, vocab)
+    entries, dropped = _entries_from_args(args, vocab)
     graph = build_graph(entries, blank_id=vocab.blank_id)
     save_graph(graph, args.output, vocab)
     transcriptions = sum(len(e.transcriptions) for e in entries)
@@ -203,11 +207,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
         f"graph: {graph.num_nodes} nodes, {len(entries)} entries, "
         f"{transcriptions} transcriptions -> {args.output}"
     )
-    if len(entries) < requested:
-        logger.error("%d of %d entries were unsegmentable and dropped",
-                     requested - len(entries), requested)
-        return EXIT_PARTIAL
-    return 0
+    return EXIT_PARTIAL if dropped else 0
 
 
 _WORK: dict = {}  # per-process decode state, set once by _init_worker
@@ -270,7 +270,8 @@ def _decode_utterance(
             "end_frame": d.candidate.end_frame,
             "score": d.candidate.score,
             "accepted": d.accepted,
-            # null: no overlap and no blank mass to compare against
+            # null: the threshold is -inf, because a greedy word or blank frame
+            # it was judged against has zero probability
             "greedy_score_sum": None if math.isinf(d.greedy_score_sum) else d.greedy_score_sum,
             "overlapped_words": [w.word for w in d.overlapped_words],
         }
@@ -293,10 +294,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     except InvalidValueError as exc:
         print(f"ctcspot decode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    dropped = 0
     if args.graph:
         graph = load_graph(args.graph, vocab)
     else:
-        entries, _ = _entries_from_args(args, vocab)
+        entries, dropped = _entries_from_args(args, vocab)
         graph = build_graph(entries, blank_id=vocab.blank_id)
     records = load_manifest(args.manifest)
 
@@ -332,7 +334,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
           "(spotting and merging; file loads excluded)")
     for msg in failures:
         logger.error("%s", msg)
-    return EXIT_PARTIAL if failures else 0
+    return EXIT_PARTIAL if failures or dropped else 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

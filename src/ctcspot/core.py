@@ -131,7 +131,8 @@ class LogProbMatrix:
 class SpotterConfig:
     """Decoding hyperparameters; thresholds live in the natural-log domain.
 
-    NaN is rejected in every field and the weights must be finite.
+    NaN is rejected in every field, the weights must be finite and ctc_w
+    positive (0 would weight a zero-probability greedy word or blank to NaN).
     Infinite thresholds stay legal: gamma_thr=-inf admits every first token
     and beam_thr=inf keeps every hypothesis.
     """
@@ -149,8 +150,8 @@ class SpotterConfig:
                 raise InvalidValueError(f"{name} must not be NaN")
         if math.isinf(self.cb_w) or math.isinf(self.ctc_w):
             raise InvalidValueError("cb_w and ctc_w must be finite")
-        if self.ctc_w < 0:
-            raise InvalidValueError("ctc_w must be >= 0")
+        if self.ctc_w <= 0:
+            raise InvalidValueError("ctc_w must be > 0")
         if self.beta_thr > 0 or self.gamma_thr > 0:
             raise InvalidValueError("log-domain thresholds must be <= 0")
         if self.beam_thr <= 0:

@@ -185,42 +185,6 @@ def _segment_word(word: str, vocab: Vocabulary) -> list[int]:
     return out
 
 
-def _bfs_order(graph: ContextGraph) -> list[int]:
-    order = [ROOT]
-    queue = [ROOT]
-    while queue:
-        at = queue.pop(0)
-        for _, child in sorted(graph.nodes[at].children.items()):
-            order.append(child)
-            queue.append(child)
-    return order
-
-
-def export_dot(graph: ContextGraph, vocab: Vocabulary | None = None) -> str:
-    """Graphviz text with stable node ordering (BFS, children by token id).
-
-    The rendering is canonical: two graphs built from the same entries in any
-    order produce identical text.
-    """
-    order = _bfs_order(graph)
-    relabel = {node: i for i, node in enumerate(order)}
-    lines = ["digraph context_graph {", "  rankdir=LR;", '  n0 [label="" shape=point];']
-    for node in order[1:]:
-        n = graph.nodes[node]
-        label = vocab.tokens[n.token_id] if vocab is not None else str(n.token_id)
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        extra = ""
-        if n.is_end_of_word:
-            word = graph.canonicals[n.entry_id].replace("\\", "\\\\").replace('"', '\\"')
-            label = f"{label}\\n({word})"
-            extra = " peripheries=2"
-        lines.append(f'  n{relabel[node]} [label="{label}"{extra}];')
-    for node in order[1:]:
-        lines.append(f"  n{relabel[graph.nodes[node].parent]} -> n{relabel[node]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def vocab_fingerprint(vocab: Vocabulary) -> bytes:
     """SHA-256 over the ordered token list; identifies the id mapping."""
     return hashlib.sha256("\n".join(vocab.tokens).encode("utf-8")).digest()

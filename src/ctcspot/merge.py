@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,8 +16,7 @@ class MergeDecision:
 
     greedy_score_sum is the threshold actually used: the overlapped words'
     score sum, or the weighted blank mass of the interval when nothing
-    overlaps (+inf when that mass is unavailable, so nothing is inserted
-    into unscored silence).
+    overlaps.
     """
 
     candidate: SpottedCandidate
@@ -39,7 +37,7 @@ class MergeResult:
 def merge_ctc(
     alignment: WordAlignment,
     candidates: Sequence[SpottedCandidate],
-    blank_scores: Sequence[float] | None = None,
+    blank_scores: Sequence[float],
 ) -> MergeResult:
     """Accept each candidate iff it outscores the greedy words it overlaps.
 
@@ -56,7 +54,7 @@ def merge_transducer(
     transducer_alignment: WordAlignment,
     ctc_alignment: WordAlignment,
     candidates: Sequence[SpottedCandidate],
-    blank_scores: Sequence[float] | None = None,
+    blank_scores: Sequence[float],
 ) -> MergeResult:
     """Filter candidates against the CTC greedy alignment, then splice winners.
 
@@ -80,7 +78,7 @@ def merge_transducer(
 def _decide(
     alignment: WordAlignment,
     candidates: Sequence[SpottedCandidate],
-    blank_scores: Sequence[float] | None,
+    blank_scores: Sequence[float],
 ) -> tuple[MergeDecision, ...]:
     """Each candidate's accept/reject decision against a CTC alignment, in frame order."""
     kept = list(alignment.words)
@@ -89,10 +87,8 @@ def _decide(
         over = [w for w in kept if _touches(w, cand)]
         if over:
             threshold = sum(w.score for w in over)
-        elif blank_scores is not None:
-            threshold = float(sum(blank_scores[cand.start_frame:cand.end_frame + 1]))
         else:
-            threshold = math.inf
+            threshold = float(sum(blank_scores[cand.start_frame:cand.end_frame + 1]))
         accepted = cand.score > threshold
         decisions.append(
             MergeDecision(

@@ -7,9 +7,7 @@ production modules.
 
 from __future__ import annotations
 
-import math
-
-from .core import LogProbMatrix, Vocabulary
+from ctcspot import LogProbMatrix, Vocabulary
 
 # Enumeration is exponential in the interval length; this cap keeps a stray
 # call from hanging the suite while still covering multi-word fixtures.
@@ -197,10 +195,3 @@ def exhaustive_segmentations(word: str, pieces: list[str]) -> list[tuple[str, ..
     walk(0, ())
     return out
 
-
-def logsumexp(xs: list[float]) -> float:
-    """Stable log(sum(exp(xs))) for plain floats."""
-    m = max(xs)
-    if math.isinf(m) and m < 0:
-        return m
-    return m + math.log(sum(math.exp(x - m) for x in xs))

@@ -34,7 +34,7 @@ from ctcspot import (
 )
 from ctcspot.cli import main as cli_main
 from ctcspot.metrics import align_words
-from ctcspot.oracle import best_path_score, levenshtein_distance, reference_greedy_decode
+from oracle import best_path_score, levenshtein_distance, reference_greedy_decode
 
 EXHAUSTIVE = SpotterConfig(pruning_enabled=False)
 

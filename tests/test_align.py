@@ -21,7 +21,7 @@ from ctcspot import (
     greedy_ctc_align,
     load_transducer_alignment,
 )
-from ctcspot.oracle import reference_greedy_decode
+from oracle import reference_greedy_decode
 
 
 def bpe_vocab() -> Vocabulary:

@@ -14,10 +14,9 @@ from ctcspot import (
     compound_split,
     expand_entries,
     load_context_list,
-    load_manual_alts,
     load_wordlist,
 )
-from ctcspot.alts import spelling_variants
+from ctcspot.alts import collect_alts, spelling_variants
 
 
 @pytest.fixture
@@ -34,8 +33,7 @@ class TestWordCostDictionary:
 
     def test_unknown_word_is_infinite(self, dictionary):
         assert dictionary.cost("nvidia") == math.inf
-        assert "nvidia" not in dictionary
-        assert "scale" in dictionary
+        assert math.isfinite(dictionary.cost("scale"))
 
     def test_cost_increases_with_rank(self, dictionary):
         costs = [dictionary.cost(w) for w in dictionary.words]
@@ -213,6 +211,6 @@ class TestListFiles:
         path.write_text(
             "# word TAB alt\ngpu\tg p u\nGPU\tgee pee you\ncloud\n", encoding="utf-8"
         )
-        alts = load_manual_alts(str(path))
+        alts = collect_alts(load_context_list(str(path)))
         # repeated word merges; a line without spellings is ignored
         assert alts == {"gpu": ("g p u", "gee pee you")}

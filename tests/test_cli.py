@@ -99,6 +99,23 @@ class TestBuildGraph:
         assert "1 entries" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["build-graph", "decode"])
+def test_dropped_entries_give_partial_exit(corpus, caplog, command):
+    (corpus / "bad.txt").write_text("ab\nnvidia\nzz9\n", encoding="utf-8")
+    out = corpus / "out.bin"
+    argv = [command, *args_vocab(corpus), "--context-list", str(corpus / "bad.txt"),
+            "--output", str(out)]
+    if command == "decode":
+        argv += ["--manifest", str(corpus / "manifest.jsonl")]
+    assert main(argv) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["2 of 3 entries were unsegmentable and dropped"]
+    if command == "decode":
+        assert [r["merged_text"] for r in read_rows(out)] == ["ab", "a"]
+    else:
+        assert out.exists()
+
+
 class TestDecode:
     def decode(self, corpus, out_name="out.jsonl", extra=()):
         out = corpus / out_name
@@ -196,6 +213,29 @@ class TestDecode:
         assert read_rows(out) == []
         assert "u1: transducer word 'bee' ends at frame 4" in caplog.text
 
+    def test_insertion_over_zero_probability_blanks_has_null_threshold(self, corpus):
+        # columns a, b, space, blank: greedy reads only spaces, so "ab" overlaps
+        # no word and is judged against blank frames of probability 0
+        with np.errstate(divide="ignore"):
+            values = np.log(np.array([[0.4, 0.0, 0.6, 0.0], [0.0, 0.4, 0.6, 0.0]]))
+        write_logprobs(LogProbMatrix(values=values.astype(np.float32), normalized=True),
+                       str(corpus / "z.bin"))
+        (corpus / "z.jsonl").write_text(
+            json.dumps({"id": "z", "logprobs": "z.bin"}) + "\n", encoding="utf-8"
+        )
+        out = corpus / "out.jsonl"
+        code = main(
+            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "z.jsonl"),
+             "--context-list", str(corpus / "ctx.txt"), "--output", str(out)]
+        )
+        assert code == 0
+        (row,) = read_rows(out)
+        assert (row["greedy_text"], row["merged_text"]) == ("", "ab")
+        (candidate,) = row["candidates"]
+        assert candidate["accepted"] is True
+        assert candidate["overlapped_words"] == []
+        assert candidate["greedy_score_sum"] is None
+
     def test_transducer_mode_without_alignment_is_partial(self, corpus):
         code, out = self.decode(corpus, extra=["--mode", "transducer"])
         assert code == 3
@@ -241,6 +281,7 @@ class TestDecode:
             ("--beam-thr", "nan", "beam_thr must not be NaN"),
             ("--gamma-thr", "nan", "gamma_thr must not be NaN"),
             ("--cb-w", "inf", "cb_w and ctc_w must be finite"),
+            ("--ctc-w", "0", "ctc_w must be > 0"),
         ],
     )
     def test_non_finite_config_is_usage_error(self, corpus, capsys, flag, value, message):

@@ -178,6 +178,7 @@ class TestSpotterConfig:
         "kwargs",
         [
             {"ctc_w": -0.1},
+            {"ctc_w": 0.0},
             {"beta_thr": 0.5},
             {"gamma_thr": 0.5},
             {"beam_thr": 0.0},

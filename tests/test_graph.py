@@ -19,14 +19,13 @@ from ctcspot import (
     Vocabulary,
     VocabularyMismatchError,
     build_graph,
-    export_dot,
     load_graph,
     save_graph,
     spot,
     tokenize,
 )
 from ctcspot.graph import _G_HEADER, _G_NODE, ROOT
-from ctcspot.oracle import exhaustive_segmentations
+from oracle import exhaustive_segmentations
 
 
 def entry(word: str, *seqs) -> BiasingEntry:
@@ -160,22 +159,6 @@ class TestTokenize:
         assert tuple(len(p) for p in got_pieces) == lengths
 
 
-class TestExportDot:
-    def test_entry_order_invariance(self):
-        vocab = char_vocab("gpu")
-        e1 = entry("gpu", tokenize("gpu", vocab))
-        e2 = entry("up", tokenize("up", vocab))
-        d1 = export_dot(build_graph([e1, e2], blank_id=vocab.blank_id), vocab)
-        d2 = export_dot(build_graph([e2, e1], blank_id=vocab.blank_id), vocab)
-        assert d1 == d2
-        assert "(gpu)" in d1 and "(up)" in d1
-
-    def test_ids_without_vocab(self):
-        g = build_graph([entry("x", [2, 1])], blank_id=0)
-        text = export_dot(g)
-        assert 'label="2"' in text
-
-
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         vocab = char_vocab("gpue")
@@ -198,7 +181,6 @@ class TestSaveLoad:
                 b.entry_id,
             )
             assert a.children == b.children
-        assert export_dot(g2, vocab) == export_dot(g, vocab)
 
     def test_vocab_mismatch(self, tmp_path):
         vocab = char_vocab("gpu")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -35,17 +33,22 @@ def alignment(*words: AlignedWord, frames: int | None = None) -> WordAlignment:
     return WordAlignment(words=tuple(words), frames=frames)
 
 
+def blanks(a: WordAlignment, score: float = -1.0) -> list[float]:
+    """Weighted blank scores of one value on every frame of the alignment."""
+    return [score] * a.frames
+
+
 class TestMergeCtc:
     def test_no_candidates_keeps_greedy_text(self):
         a = alignment(word("hello", 0, 3, -1.0), word("world", 5, 8, -2.0))
-        got = merge_ctc(a, [])
+        got = merge_ctc(a, [], blanks(a))
         assert got.text == "hello world"
         assert got.decisions == ()
         assert got.words == a.words
 
     def test_accepts_when_outscoring_overlap(self):
         a = alignment(word("cpu", 0, 3, -4.0))
-        got = merge_ctc(a, [cand("gpu", 1, 3, -2.0)])
+        got = merge_ctc(a, [cand("gpu", 1, 3, -2.0)], blanks(a))
         assert got.text == "gpu"
         assert got.decisions[0].accepted is True
         assert got.decisions[0].greedy_score_sum == pytest.approx(-4.0)
@@ -53,37 +56,29 @@ class TestMergeCtc:
 
     def test_rejects_on_tie(self):
         a = alignment(word("cpu", 0, 3, -2.0))
-        got = merge_ctc(a, [cand("gpu", 0, 3, -2.0)])
+        got = merge_ctc(a, [cand("gpu", 0, 3, -2.0)], blanks(a))
         assert got.text == "cpu"
         assert got.decisions[0].accepted is False
 
     def test_multiple_overlapped_words_sum(self):
         a = alignment(word("g", 0, 1, -1.0), word("pu", 3, 5, -2.5))
-        got = merge_ctc(a, [cand("gpu", 0, 5, -3.0)])
+        got = merge_ctc(a, [cand("gpu", 0, 5, -3.0)], blanks(a))
         assert got.decisions[0].greedy_score_sum == pytest.approx(-3.5)
         assert got.text == "gpu"
 
     def test_accepted_word_carries_candidate_score_and_interval(self):
         a = alignment(word("cpu", 0, 3, -4.0))
-        got = merge_ctc(a, [cand("gpu", 1, 2, -2.0)])
+        got = merge_ctc(a, [cand("gpu", 1, 2, -2.0)], blanks(a))
         assert got.words == (word("gpu", 1, 2, -2.0),)
 
     def test_zero_overlap_uses_blank_mass(self):
         a = alignment(word("x", 0, 1, -1.0), frames=10)
-        blanks = [-0.1] * 10
         # interval [4, 6]: threshold = 3 * -0.1 = -0.3
-        accepted = merge_ctc(a, [cand("gpu", 4, 6, -0.2)], blank_scores=blanks)
-        rejected = merge_ctc(a, [cand("gpu", 4, 6, -0.4)], blank_scores=blanks)
+        accepted = merge_ctc(a, [cand("gpu", 4, 6, -0.2)], blank_scores=blanks(a, -0.1))
+        rejected = merge_ctc(a, [cand("gpu", 4, 6, -0.4)], blank_scores=blanks(a, -0.1))
         assert accepted.text == "x gpu"
         assert accepted.decisions[0].greedy_score_sum == pytest.approx(-0.3)
         assert rejected.text == "x"
-
-    def test_zero_overlap_without_blank_scores_rejects(self):
-        a = alignment(word("x", 0, 1, -1.0), frames=10)
-        got = merge_ctc(a, [cand("gpu", 4, 6, 100.0)])
-        assert got.text == "x"
-        assert got.decisions[0].greedy_score_sum == math.inf
-        assert got.decisions[0].accepted is False
 
     def test_empty_alignment_with_blank_scores(self):
         a = alignment(frames=4)
@@ -110,9 +105,9 @@ class TestMergeCtc:
 
     def test_remerge_of_accepted_output_changes_nothing(self):
         a = alignment(word("cpu", 0, 3, -4.0))
-        first = merge_ctc(a, [cand("gpu", 0, 3, -2.0)])
+        first = merge_ctc(a, [cand("gpu", 0, 3, -2.0)], blanks(a))
         again = merge_ctc(
-            WordAlignment(words=first.words, frames=4), [cand("gpu", 0, 3, -2.0)]
+            WordAlignment(words=first.words, frames=4), [cand("gpu", 0, 3, -2.0)], blanks(a)
         )
         # the spliced word now carries the candidate's own score; an equal
         # re-offer no longer strictly outscores it
@@ -139,8 +134,8 @@ class TestMergeCtc:
             s = int(rng.integers(0, frames))
             e = min(frames - 1, s + int(rng.integers(0, 6)))
             cands.append(cand(f"c{i}", s, e, float(rng.normal(-3, 3)), entry_id=i))
-        blanks = rng.normal(-1.0, 0.5, size=frames).tolist() if rng.random() < 0.7 else None
-        got = merge_ctc(a, cands, blank_scores=blanks)
+        blank_scores = rng.normal(-1.0, 0.5, size=frames).tolist()
+        got = merge_ctc(a, cands, blank_scores=blank_scores)
         assert len(got.decisions) == len(cands)
         for d in got.decisions:
             assert d.accepted == (d.candidate.score > d.greedy_score_sum)
@@ -148,11 +143,9 @@ class TestMergeCtc:
                 assert d.greedy_score_sum == pytest.approx(
                     sum(w.score for w in d.overlapped_words)
                 )
-            elif blanks is not None:
-                s, e = d.candidate.start_frame, d.candidate.end_frame
-                assert d.greedy_score_sum == pytest.approx(sum(blanks[s : e + 1]))
             else:
-                assert d.greedy_score_sum == math.inf
+                s, e = d.candidate.start_frame, d.candidate.end_frame
+                assert d.greedy_score_sum == pytest.approx(sum(blank_scores[s : e + 1]))
         # accepted candidates appear in the output with their own score
         out = {(w.word, w.start_frame, w.end_frame, w.score) for w in got.words}
         for d in got.decisions:
@@ -206,9 +199,9 @@ class TestMergeTransducer:
             s = int(rng.integers(0, frames))
             e = min(frames - 1, s + int(rng.integers(0, 6)))
             cands.append(cand(f"c{i}", s, e, float(rng.normal(-3, 3)), entry_id=i))
-        blanks = rng.normal(-1.0, 0.5, size=frames).tolist() if rng.random() < 0.7 else None
-        got = merge_transducer(transducer, ctc, cands, blanks)
-        assert got.decisions == merge_ctc(ctc, cands, blanks).decisions
+        blank_scores = rng.normal(-1.0, 0.5, size=frames).tolist()
+        got = merge_transducer(transducer, ctc, cands, blank_scores)
+        assert got.decisions == merge_ctc(ctc, cands, blank_scores).decisions
         accepted = [d.candidate for d in got.decisions if d.accepted]
         expected = [
             w for w in transducer.words
@@ -222,7 +215,7 @@ class TestMergeTransducer:
     def test_decisions_come_from_ctc_words(self):
         transducer = alignment(word("see", 0, 2, -50.0), word("pew", 4, 6, -50.0), frames=10)
         ctc = alignment(word("cpu", 0, 6, -4.0), frames=10)
-        got = merge_transducer(transducer, ctc, [cand("gpu", 2, 5, -2.0)])
+        got = merge_transducer(transducer, ctc, [cand("gpu", 2, 5, -2.0)], blanks(ctc))
         assert got.decisions[0].accepted is True
         # threshold came from the ctc word, not the transducer scores
         assert got.decisions[0].greedy_score_sum == pytest.approx(-4.0)
@@ -233,13 +226,13 @@ class TestMergeTransducer:
         # comparison decides; both touched words must go
         transducer = alignment(word("alpha", 0, 3, 100.0), word("beta", 5, 8, 100.0), frames=12)
         ctc = alignment(word("weak", 1, 7, -9.0), frames=12)
-        got = merge_transducer(transducer, ctc, [cand("gpu", 3, 5, -1.0)])
+        got = merge_transducer(transducer, ctc, [cand("gpu", 3, 5, -1.0)], blanks(ctc))
         assert got.text == "gpu"
 
     def test_rejected_candidate_leaves_transducer_untouched(self):
         transducer = alignment(word("alpha", 0, 3, -50.0), frames=8)
         ctc = alignment(word("strong", 0, 3, 5.0), frames=8)
-        got = merge_transducer(transducer, ctc, [cand("gpu", 1, 2, -1.0)])
+        got = merge_transducer(transducer, ctc, [cand("gpu", 1, 2, -1.0)], blanks(ctc))
         assert got.text == "alpha"
         assert got.decisions[0].accepted is False
 
@@ -249,14 +242,14 @@ class TestMergeTransducer:
             frames=12,
         )
         ctc = alignment(word("x", 4, 6, -9.0), frames=12)
-        got = merge_transducer(transducer, ctc, [cand("gpu", 5, 6, -1.0)])
+        got = merge_transducer(transducer, ctc, [cand("gpu", 5, 6, -1.0)], blanks(ctc))
         assert got.text == "keep gpu tail"
         assert [w.score for w in got.words] == [-1.0, -1.0, -1.0]
 
     def test_no_candidates_returns_transducer_text(self):
         transducer = alignment(word("hello", 0, 2, -1.0), frames=5)
         ctc = alignment(word("jello", 0, 2, -1.0), frames=5)
-        got = merge_transducer(transducer, ctc, [])
+        got = merge_transducer(transducer, ctc, [], blanks(ctc))
         assert got.text == "hello"
 
     @pytest.mark.parametrize("end", [4, 9])
@@ -264,9 +257,9 @@ class TestMergeTransducer:
         ctc = alignment(word("cpu", 0, 3, -4.0), frames=4)
         trans = alignment(word("see", 0, 2, -1.0), word("pee", 3, end, -1.0))
         with pytest.raises(DimensionMismatchError):
-            merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)])
+            merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)], blanks(ctc))
 
     def test_word_on_the_last_frame_is_accepted(self):
         ctc = alignment(word("cpu", 0, 3, -4.0), frames=4)
         trans = alignment(word("see", 0, 3, -1.0))
-        assert merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)]).text == "gpu"
+        assert merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)], blanks(ctc)).text == "gpu"

@@ -17,7 +17,7 @@ from ctcspot import (
     score_context_words,
     wer,
 )
-from ctcspot.oracle import levenshtein_distance
+from oracle import levenshtein_distance
 
 words_strategy = st.lists(st.sampled_from(["a", "b", "c", "gpu"]), max_size=8)
 

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import char_vocab, log_softmax_rows, random_matrix
 from ctcspot import LogProbMatrix, Vocabulary
-from ctcspot.oracle import (
+from oracle import (
     best_path_score,
     count_paths,
     exhaustive_segmentations,
     levenshtein_distance,
-    logsumexp,
     reference_greedy_decode,
 )
 
@@ -220,8 +219,3 @@ def test_exhaustive_segmentations():
     assert got == {("a", "b", "c"), ("ab", "c"), ("a", "bc"), ("abc",)}
     assert exhaustive_segmentations("abc", ["a", "c"]) == []
 
-
-def test_logsumexp_against_numpy():
-    xs = [-1.5, -2.0, -0.25, -3.0]
-    assert math.isclose(logsumexp(xs), float(np.logaddexp.reduce(xs)), abs_tol=1e-12)
-    assert logsumexp([-math.inf, -math.inf]) == -math.inf

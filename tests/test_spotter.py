@@ -26,7 +26,7 @@ from ctcspot import (
     load_logprobs,
     spot,
 )
-from ctcspot.oracle import best_path_score
+from oracle import best_path_score
 
 EXHAUSTIVE = SpotterConfig(pruning_enabled=False)
 
