@@ -20,7 +20,7 @@ from .alts import (
     load_wordlist,
 )
 from .core import (
-    DEFAULT_BOUNDARY_MARKER,
+    BOUNDARY_MARKER,
     LogProbMatrix,
     SpotterConfig,
     UtteranceRecord,
@@ -68,9 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignedWord",
+    "BOUNDARY_MARKER",
     "BiasingEntry",
     "ContextGraph",
-    "DEFAULT_BOUNDARY_MARKER",
     "DataError",
     "DimensionMismatchError",
     "DuplicateTokenError",

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogProbMatrix, SpotterConfig, Vocabulary, finite_number, read_jsonl
+from .core import (
+    BOUNDARY_MARKER,
+    LogProbMatrix,
+    SpotterConfig,
+    Vocabulary,
+    finite_number,
+    read_jsonl,
+)
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -64,7 +71,10 @@ def greedy_ctc_align(
     character-level inventory.  A word spans the first frame of its first run
     through the last frame of its last run; its score is ctc_w times the sum
     of argmax log-probs over all frames of its runs, repeats included.
+    ctc_w must be finite and > 0, as in SpotterConfig.
     """
+    if not 0 < ctc_w < math.inf:
+        SpotterConfig(ctc_w=ctc_w)  # raises InvalidValueError with the config's message
     if logprobs.vocab_size != vocab.size:
         raise DimensionMismatchError(
             f"matrix has {logprobs.vocab_size} columns, vocabulary has {vocab.size} tokens"
@@ -86,7 +96,6 @@ def greedy_ctc_align(
                 runs.append((tok, run_start, t - 1, float(top_lp[run_start:t].sum())))
             run_start = t
 
-    marker = vocab.word_boundary_marker
     bpe = vocab.has_marker_tokens
     space = vocab.space_id
     words: list[AlignedWord] = []
@@ -96,8 +105,8 @@ def greedy_ctc_align(
         if not group:
             return
         text = "".join(vocab.tokens[r[0]] for r in group)
-        if bpe and text.startswith(marker):
-            text = text[len(marker):]
+        if bpe and text.startswith(BOUNDARY_MARKER):
+            text = text[len(BOUNDARY_MARKER):]
         if text:  # a lone marker piece carries no word
             words.append(
                 AlignedWord(
@@ -112,7 +121,7 @@ def greedy_ctc_align(
     for run in runs:
         tok = run[0]
         if bpe:
-            if vocab.tokens[tok].startswith(marker):
+            if vocab.tokens[tok].startswith(BOUNDARY_MARKER):
                 close_group()
             group.append(run)
         elif tok == space:

@@ -176,9 +176,11 @@ def load_context_list(path: str) -> list[tuple[str, tuple[str, ...]]]:
     """Read a context list: one entry per line, canonical[TAB alt_spelling]*.
 
     Lines starting with '#' and blank lines are skipped.  Everything is
-    lowercased and trimmed.
+    lowercased and trimmed.  Returns one (word, alternatives) pair per
+    distinct word in first-seen order; a word on several rows keeps the
+    alternatives of every row, in row order.
     """
-    rows: list[tuple[str, tuple[str, ...]]] = []
+    alts: dict[str, list[str]] = {}
     for line in read_text(path).split("\n"):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -186,17 +188,6 @@ def load_context_list(path: str) -> list[tuple[str, tuple[str, ...]]]:
         canonical = parts[0]
         if not canonical:
             continue
-        rows.append((canonical, tuple(p for p in parts[1:] if p)))
-    return rows
-
-
-def collect_alts(rows: Iterable[tuple[str, Sequence[str]]]) -> dict[str, tuple[str, ...]]:
-    """Alternative spellings per word from (word, alts) rows, accumulated
-    over repeated words in row order; words without alternatives are left out.
-    """
-    alts: dict[str, list[str]] = {}
-    for word, spellings in rows:
-        if spellings:
-            alts.setdefault(word, []).extend(spellings)
-    return {w: tuple(s) for w, s in alts.items()}
+        alts.setdefault(canonical, []).extend(p for p in parts[1:] if p)
+    return [(w, tuple(a)) for w, a in alts.items()]
 

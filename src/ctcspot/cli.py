@@ -22,14 +22,12 @@ import numpy as np
 from .align import WordAlignment, greedy_ctc_align, load_transducer_alignment
 from .alts import (
     WordCostDictionary,
-    collect_alts,
     expand_entries,
     load_context_list,
     load_wordlist,
     spelling_variants,
 )
 from .core import (
-    DEFAULT_BOUNDARY_MARKER,
     SpotterConfig,
     UtteranceRecord,
     Vocabulary,
@@ -66,15 +64,11 @@ def _add_vocab_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab", required=True, help="token-per-line vocabulary file")
     p.add_argument("--blank-id", type=int, default=None,
                    help="blank token id (default: last token)")
-    p.add_argument("--boundary-marker", default=DEFAULT_BOUNDARY_MARKER,
-                   help="prefix marking word-initial pieces")
 
 
 def _add_alt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wordlist", default=None,
                    help="frequency-ranked word list enabling compound splits")
-    p.add_argument("--manual-alts", default=None,
-                   help="extra alternative spellings, word[TAB alt]+ per line")
     p.add_argument("--no-auto-alts", action="store_true",
                    help="disable abbreviation and compound variants")
 
@@ -157,27 +151,14 @@ def _replace_on_success(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _load_vocab(args: argparse.Namespace) -> Vocabulary:
-    return load_vocabulary(
-        args.vocab,
-        blank_id=args.blank_id,
-        word_boundary_marker=args.boundary_marker,
-    )
-
-
 def _read_lists(
     args: argparse.Namespace,
 ) -> tuple[list[str], dict[str, tuple[str, ...]], WordCostDictionary | None]:
     """The context list's words in first-seen order, their manual spellings
-    and the cost dictionary.
-
-    A word's manual spellings are its context-list alternatives, accumulated
-    over repeated rows, then those from --manual-alts.
-    """
+    (the list's alternatives) and the cost dictionary."""
     rows = load_context_list(args.context_list)
-    extra = load_context_list(args.manual_alts) if args.manual_alts else []
     dictionary = load_wordlist(args.wordlist) if args.wordlist else None
-    return list(dict.fromkeys(c for c, _ in rows)), collect_alts(rows + extra), dictionary
+    return [w for w, _ in rows], dict(rows), dictionary
 
 
 def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
@@ -198,7 +179,7 @@ def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(args)
+    vocab = load_vocabulary(args.vocab, args.blank_id)
     entries, dropped = _entries_from_args(args, vocab)
     graph = build_graph(entries, blank_id=vocab.blank_id)
     save_graph(graph, args.output, vocab)
@@ -281,7 +262,7 @@ def _decode_utterance(
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(args)
+    vocab = load_vocabulary(args.vocab, args.blank_id)
     try:
         cfg = SpotterConfig(
             cb_w=args.cb_w,
@@ -381,7 +362,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_list(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(args)
+    vocab = load_vocabulary(args.vocab, args.blank_id)
     records = load_manifest(args.manifest)
     if not records:
         raise InvalidValueError(f"{args.manifest}: empty manifest")

@@ -18,7 +18,7 @@ from .errors import (
     InvalidValueError,
 )
 
-DEFAULT_BOUNDARY_MARKER = "▁"  # the sentencepiece-style lower one eighth block
+BOUNDARY_MARKER = "▁"  # the sentencepiece-style lower one eighth block
 
 _MAGIC = b"CTCL"
 _FORMAT_VERSION = 1
@@ -33,7 +33,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     blank_id: int
-    word_boundary_marker: str = DEFAULT_BOUNDARY_MARKER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -48,8 +47,6 @@ class Vocabulary:
             raise InvalidValueError(
                 f"blank_id {self.blank_id} out of range for {len(self.tokens)} tokens"
             )
-        if not self.word_boundary_marker:
-            raise InvalidValueError("word_boundary_marker must be non-empty")
 
     @property
     def size(self) -> int:
@@ -67,8 +64,7 @@ class Vocabulary:
     @cached_property
     def has_marker_tokens(self) -> bool:
         """True for BPE-style inventories where pieces carry the boundary marker."""
-        marker = self.word_boundary_marker
-        return any(tok.startswith(marker) for tok in self.tokens)
+        return any(tok.startswith(BOUNDARY_MARKER) for tok in self.tokens)
 
     @cached_property
     def space_id(self) -> int | None:
@@ -86,9 +82,9 @@ class LogProbMatrix:
     Validation takes one row-wise max: NaN propagates through it, so the
     same pass rejects NaN and values above 0.  Normalization is then checked
     as the max-shifted log(sum(exp(row - max))) + max, summed in float64
-    from a float32 temporary, so no float64 copy of the matrix is made.  A
-    normalized matrix with an all -inf row (zero total probability) is
-    rejected.
+    from a float32 temporary, so no float64 copy of the matrix is made.  An
+    all -inf row (zero total probability) is rejected in every matrix: no
+    token can be decoded from it.
     """
 
     values: np.ndarray
@@ -109,9 +105,9 @@ class LogProbMatrix:
             raise InvalidValueError("log-prob matrix contains NaN")
         if top > 0.0:
             raise InvalidValueError("log-prob matrix contains values above 0")
+        if np.isneginf(row_max).any():
+            raise InvalidValueError("log-prob matrix has a row that is all -inf")
         if self.normalized:
-            if np.isneginf(row_max).any():
-                raise InvalidValueError("rows flagged normalized but one row is all -inf")
             shifted = arr - row_max[:, None]
             np.exp(shifted, out=shifted)
             lse = np.log(shifted.sum(axis=1, dtype=np.float64)) + row_max
@@ -214,17 +210,12 @@ def finite_number(value: object) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def load_vocabulary(
-    path: str,
-    blank_id: int | None = None,
-    word_boundary_marker: str = DEFAULT_BOUNDARY_MARKER,
-) -> Vocabulary:
+def load_vocabulary(path: str, blank_id: int | None = None) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; token id = line number.
 
     Args:
         path: UTF-8 text file, one token per line (a line may be a lone space).
         blank_id: blank token id; defaults to the last token.
-        word_boundary_marker: prefix marking word-initial pieces.
 
     Returns:
         The validated Vocabulary.
@@ -236,7 +227,7 @@ def load_vocabulary(
         if tok == "":
             raise InvalidValueError(f"{path}: empty token at line {i + 1}")
     bid = len(lines) - 1 if blank_id is None else blank_id
-    return Vocabulary(tokens=tuple(lines), blank_id=bid, word_boundary_marker=word_boundary_marker)
+    return Vocabulary(tokens=tuple(lines), blank_id=bid)
 
 
 def load_logprobs(path: str) -> LogProbMatrix:

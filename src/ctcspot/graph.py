@@ -7,7 +7,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 
-from .core import Vocabulary
+from .core import BOUNDARY_MARKER, Vocabulary
 from .errors import (
     FormatError,
     InvalidValueError,
@@ -149,7 +149,7 @@ def _match_token(word: str, pos: int, length: int, vocab: Vocabulary) -> int | N
     piece = word[pos:pos + length]
     t2i = vocab.token_to_id
     if pos == 0:
-        tid = t2i.get(vocab.word_boundary_marker + piece)
+        tid = t2i.get(BOUNDARY_MARKER + piece)
         if tid is not None and tid != vocab.blank_id:
             return tid
     tid = t2i.get(piece)

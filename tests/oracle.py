@@ -7,7 +7,7 @@ production modules.
 
 from __future__ import annotations
 
-from ctcspot import LogProbMatrix, Vocabulary
+from ctcspot import BOUNDARY_MARKER, LogProbMatrix, Vocabulary
 
 # Enumeration is exponential in the interval length; this cap keeps a stray
 # call from hanging the suite while still covering multi-word fixtures.
@@ -160,7 +160,7 @@ def reference_greedy_decode(
             collapsed.append(arg)
         prev = arg
     raw = "".join(vocab.tokens[i] for i in collapsed)
-    text = " ".join(raw.replace(vocab.word_boundary_marker, " ").split())
+    text = " ".join(raw.replace(BOUNDARY_MARKER, " ").split())
     return collapsed, text
 
 

@@ -16,7 +16,7 @@ from ctcspot import (
     load_context_list,
     load_wordlist,
 )
-from ctcspot.alts import collect_alts, spelling_variants
+from ctcspot.alts import spelling_variants
 
 
 @pytest.fixture
@@ -206,11 +206,16 @@ class TestListFiles:
         path.write_text("\talt-only\ngpu\n", encoding="utf-8")
         assert load_context_list(str(path)) == [("gpu", ())]
 
-    def test_manual_alts(self, tmp_path):
-        path = tmp_path / "alts.txt"
+    def test_context_list_merges_repeated_rows(self, tmp_path):
+        path = tmp_path / "ctx.txt"
         path.write_text(
-            "# word TAB alt\ngpu\tg p u\nGPU\tgee pee you\ncloud\n", encoding="utf-8"
+            "# word TAB alt\ncloud\ngpu\tg p u\nrtx\nGPU\tgee pee you\ncloud\ngpu\n",
+            encoding="utf-8",
         )
-        alts = collect_alts(load_context_list(str(path)))
-        # repeated word merges; a line without spellings is ignored
-        assert alts == {"gpu": ("g p u", "gee pee you")}
+        # one pair per word in first-seen order; a repeated word's alternatives
+        # accumulate in row order, and a repeated row without any adds none
+        assert load_context_list(str(path)) == [
+            ("cloud", ()),
+            ("gpu", ("g p u", "gee pee you")),
+            ("rtx", ()),
+        ]

@@ -116,6 +116,22 @@ def test_dropped_entries_give_partial_exit(corpus, caplog, command):
         assert out.exists()
 
 
+def test_zero_probability_tsv_row_fails_its_utterance(corpus, caplog, capsys):
+    # columns: a, b, space, blank; the first frame gives every token -inf
+    (corpus / "u2.tsv").write_text("-inf\t-inf\t-inf\t-inf\n0\t-inf\t-inf\t-inf\n",
+                                   encoding="utf-8")
+    manifest = corpus / "manifest.jsonl"
+    manifest.write_text(manifest.read_text().replace("u2.bin", "u2.tsv"), encoding="utf-8")
+    out = corpus / "out.jsonl"
+    code = main(["decode", *args_vocab(corpus), "--manifest", str(manifest),
+                 "--context-list", str(corpus / "ctx.txt"), "--output", str(out)])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["u2: log-prob matrix has a row that is all -inf"]
+    assert [r["id"] for r in read_rows(out)] == ["u1"]
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 class TestDecode:
     def decode(self, corpus, out_name="out.jsonl", extra=()):
         out = corpus / out_name
@@ -453,16 +469,12 @@ class TestGenAlts:
             # alternatives of a repeated row accumulate, as in build-graph
             ({"ctx.txt": "gpu\tgee pee you\ngpu\tgeepee\nrtx\ngpu\n"}, []),
             (
-                {"ctx.txt": "gpu\ncloudbase\n", "alts.txt": "gpu\tjee pee you\ncloudbase\tg p u\n"},
-                ["--manual-alts", "alts.txt"],
-            ),
-            (
                 {"ctx.txt": "cloudbase\nhyperscale\ngpu\n",
                  "words.txt": "cloud\nbase\nhyper\nscale\n"},
                 ["--wordlist", "words.txt"],
             ),
         ],
-        ids=["plain", "repeated-canonical", "manual-alts", "wordlist"],
+        ids=["plain", "repeated-canonical", "wordlist"],
     )
     def test_output_feeds_back_into_build_graph(self, tmp_path, files, extra):
         (tmp_path / "vocab.txt").write_text(
@@ -528,7 +540,6 @@ class TestBadTextInputs:
         [
             ("vocab.txt", "build-graph", 2),
             ("ctx.txt", "build-graph", 2),
-            ("alts.txt", "build-graph", 2),
             ("words.txt", "build-graph", 2),
             ("manifest.jsonl", "decode", 2),
             # a bad per-utterance file fails that utterance only
@@ -537,7 +548,6 @@ class TestBadTextInputs:
         ],
     )
     def test_not_utf8_is_a_data_error(self, corpus, caplog, name, command, code):
-        (corpus / "alts.txt").write_text("ab\ta b\n", encoding="utf-8")
         (corpus / "words.txt").write_text("ab\nba\n", encoding="utf-8")
         rows = [json.loads(line) for line in (corpus / "manifest.jsonl").read_text().splitlines()]
         for row, end in zip(rows, (2, 0)):
@@ -559,7 +569,6 @@ class TestBadTextInputs:
         ctx = ["--context-list", str(corpus / "ctx.txt")]
         argv = {
             "build-graph": ["build-graph", *args_vocab(corpus), *ctx,
-                            "--manual-alts", str(corpus / "alts.txt"),
                             "--wordlist", str(corpus / "words.txt"),
                             "--output", str(corpus / "g.bin")],
             "decode": ["decode", *args_vocab(corpus), *ctx, "--mode", "transducer",

@@ -90,9 +90,10 @@ class TestLogProbMatrix:
 
     def test_normalized_rejects_all_neg_inf_row(self):
         values = np.array([[0.0, -np.inf], [-np.inf, -np.inf]], dtype=np.float32)
-        with pytest.raises(InvalidValueError, match="all -inf"):
-            LogProbMatrix(values=values, normalized=True)
-        LogProbMatrix(values=values, normalized=False)  # no mass claimed, no check
+        # a zero-probability frame decodes to no token, whatever the flag says
+        for normalized in (True, False):
+            with pytest.raises(InvalidValueError, match="all -inf"):
+                LogProbMatrix(values=values, normalized=normalized)
 
     def test_rejects_nan_beside_larger_values(self):
         values = np.array([[-0.7, -0.7, -np.inf], [-0.1, -2.3, np.nan]], dtype=np.float32)
@@ -130,6 +131,8 @@ class TestLogProbMatrix:
     def test_decisions_match_logaddexp_reference(self):
         def reference_accepts(values: np.ndarray, normalized: bool) -> bool:
             if np.isnan(values).any() or values.max() > 0:
+                return False
+            if np.isneginf(values).all(axis=1).any():
                 return False
             if normalized:
                 lse = np.logaddexp.reduce(values.astype(np.float64), axis=1)
