@@ -80,8 +80,6 @@ def greedy_ctc_align(
             f"matrix has {logprobs.vocab_size} columns, vocabulary has {vocab.size} tokens"
         )
     frames = logprobs.frames
-    if frames == 0:
-        return WordAlignment(words=(), frames=0)
     ids = np.argmax(logprobs.values, axis=1)
     top_lp = logprobs.values[np.arange(frames), ids].astype(np.float64)
 
@@ -137,9 +135,8 @@ def load_transducer_alignment(path: str) -> WordAlignment:
 
     Each row is {"word", "start_frame", "end_frame", "score"?}: frames are
     JSON integers and a score, when present, a finite number (booleans are
-    neither).  A missing score becomes -inf (the word then never outscores a
-    candidate on its own).  Overlapping, unsorted, or negative intervals are
-    rejected.
+    neither).  A missing score becomes -inf.  Overlapping, unsorted, or
+    negative intervals are rejected.
     """
     words: list[AlignedWord] = []
     for where, row in read_jsonl(path, frozenset({"word", "start_frame", "end_frame"})):

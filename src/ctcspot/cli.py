@@ -261,8 +261,17 @@ def _decode_utterance(
     return json.dumps(row, ensure_ascii=False), elapsed
 
 
+def _usage_error(args: argparse.Namespace, message: object) -> int:
+    """Report a bad flag value on one stderr line, as argparse words it."""
+    print(f"ctcspot {args.command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_decode(args: argparse.Namespace) -> int:
-    vocab = load_vocabulary(args.vocab, args.blank_id)
+    if args.graph and (args.wordlist or args.no_auto_alts):
+        return _usage_error(args, "--wordlist and --no-auto-alts go only with --context-list")
+    if args.workers < 1:
+        return _usage_error(args, f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = SpotterConfig(
             cb_w=args.cb_w,
@@ -273,8 +282,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
             pruning_enabled=not args.no_pruning,
         )
     except InvalidValueError as exc:
-        print(f"ctcspot decode: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(args, exc)
+    vocab = load_vocabulary(args.vocab, args.blank_id)
     dropped = 0
     if args.graph:
         graph = load_graph(args.graph, vocab)
@@ -282,18 +291,20 @@ def cmd_decode(args: argparse.Namespace) -> int:
         entries, dropped = _entries_from_args(args, vocab)
         graph = build_graph(entries, blank_id=vocab.blank_id)
     records = load_manifest(args.manifest)
+    # a pool starts all its processes at the first task: no more than there are utterances
+    workers = min(args.workers, len(records))
 
     failures: list[str] = []
     done = 0
     total_seconds = 0.0
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_replace_on_success(args.output))
-        if args.workers <= 1:
+        if workers <= 1:
             _init_worker(vocab, graph, cfg, args.mode)
             results = map(_decode_task, records)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=args.workers,
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(vocab, graph, cfg, args.mode),
             ))
@@ -362,6 +373,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_list(args: argparse.Namespace) -> int:
+    try:
+        mine_biasing_list((), max_accuracy=args.max_acc)  # the threshold check, before any read
+    except InvalidValueError as exc:
+        return _usage_error(args, exc)
     vocab = load_vocabulary(args.vocab, args.blank_id)
     records = load_manifest(args.manifest)
     if not records:

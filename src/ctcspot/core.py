@@ -214,13 +214,16 @@ def load_vocabulary(path: str, blank_id: int | None = None) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; token id = line number.
 
     Args:
-        path: UTF-8 text file, one token per line (a line may be a lone space).
+        path: UTF-8 text file, one token per line (a line may be a lone space);
+            a line ends at "\n" only, as in every other text input.
         blank_id: blank token id; defaults to the last token.
 
     Returns:
         The validated Vocabulary.
     """
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":  # the final line's newline
+        lines.pop()
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     for i, tok in enumerate(lines):
@@ -231,18 +234,16 @@ def load_vocabulary(path: str, blank_id: int | None = None) -> Vocabulary:
 
 
 def load_logprobs(path: str) -> LogProbMatrix:
-    """Load a log-prob matrix from the binary container or TSV fallback.
+    """Load a log-prob matrix from its binary container.
 
-    Binary layout: "CTCL" magic, u8 version (=1), u8 flags (bit 0 = normalized),
+    Layout: "CTCL" magic, u8 version (=1), u8 flags (bit 0 = normalized),
     u16 reserved (=0), u32 frames, u32 vocab size, then frames*vocab
-    little-endian float32 values in row-major order.  A file that does not
-    start with the magic is parsed as TSV: one line per frame, tab-separated
-    decimal floats, and is treated as unnormalized.
+    little-endian float32 values in row-major order.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
-        return _load_logprobs_tsv(path, raw)
+        raise FormatError(f"{path}: not a CTCL matrix file")
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
     _, version, flags, _, frames, vocab = _HEADER.unpack_from(raw)
@@ -255,27 +256,6 @@ def load_logprobs(path: str) -> LogProbMatrix:
     values = np.frombuffer(raw, dtype="<f4", count=frames * vocab, offset=_HEADER.size)
     values = values.reshape(frames, vocab)
     return LogProbMatrix(values=values, normalized=bool(flags & _FLAG_NORMALIZED))
-
-
-def _load_logprobs_tsv(path: str, raw: bytes) -> LogProbMatrix:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: bad magic and not UTF-8 TSV") from exc
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        try:
-            row = [float(cell) for cell in line.split("\t")]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: not tab-separated floats") from exc
-        if rows and len(row) != len(rows[0]):
-            raise FormatError(f"{path}:{lineno}: ragged row ({len(row)} vs {len(rows[0])} columns)")
-        rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: empty TSV matrix")
-    return LogProbMatrix(values=np.array(rows, dtype=np.float32), normalized=False)
 
 
 def write_logprobs(matrix: LogProbMatrix, path: str) -> None:

@@ -216,13 +216,12 @@ def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
 def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
     """Load a serialized graph, refusing one built against a different vocabulary.
 
-    The header's blank id must be the vocabulary's, or -1 in files written
-    without one; the graph returned carries the vocabulary's.  Everything
-    build_graph guarantees is checked: the root comes first, every node
-    follows its parent, a parent has at most one child per token, non-root
-    tokens are vocabulary ids other than the vocabulary's blank, the end
-    flag is set exactly on nodes with an entry id, entry ids index the entry
-    table, and canonicals are non-empty UTF-8.
+    The header's blank id must be the vocabulary's.  Everything build_graph
+    guarantees is checked: the root comes first, every node follows its
+    parent, a parent has at most one child per token, non-root tokens are
+    vocabulary ids other than the blank, the end flag is set exactly on
+    nodes with an entry id, entry ids index the entry table, and canonicals
+    are non-empty UTF-8.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -235,7 +234,7 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
         raise FormatError(f"{path}: unsupported graph version {version}")
     if digest != vocab_fingerprint(vocab):
         raise VocabularyMismatchError(f"{path}: graph was built against a different vocabulary")
-    if blank not in (-1, vocab.blank_id):
+    if blank != vocab.blank_id:
         raise VocabularyMismatchError(
             f"{path}: graph blank id {blank} != vocabulary blank id {vocab.blank_id}"
         )

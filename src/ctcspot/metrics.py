@@ -6,6 +6,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .errors import InvalidValueError
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_TERM_LEN = 3
@@ -231,8 +233,10 @@ def mine_biasing_list(
     kept when its recognition accuracy (exact matches over occurrences)
     is at most max_accuracy and it is at least min_len characters.
     Returns (term, occurrences, matches) sorted by frequency, most
-    frequent first, ties alphabetical.
+    frequent first, ties alphabetical.  max_accuracy must be in [0, 1].
     """
+    if not 0.0 <= max_accuracy <= 1.0:  # NaN fails both comparisons
+        raise InvalidValueError(f"max_accuracy must be in [0, 1], got {max_accuracy}")
     occurrences: dict[str, int] = {}
     matches: dict[str, int] = {}
     for ref_text, hyp_text in pairs:

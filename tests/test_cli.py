@@ -19,7 +19,8 @@ from ctcspot import (
 )
 from ctcspot import cli
 from ctcspot.cli import main
-from ctcspot.graph import _G_HEADER
+from ctcspot.core import _HEADER
+from ctcspot.graph import _G_HEADER, _G_NODE
 
 
 @pytest.fixture
@@ -116,14 +117,13 @@ def test_dropped_entries_give_partial_exit(corpus, caplog, command):
         assert out.exists()
 
 
-def test_zero_probability_tsv_row_fails_its_utterance(corpus, caplog, capsys):
-    # columns: a, b, space, blank; the first frame gives every token -inf
-    (corpus / "u2.tsv").write_text("-inf\t-inf\t-inf\t-inf\n0\t-inf\t-inf\t-inf\n",
-                                   encoding="utf-8")
-    manifest = corpus / "manifest.jsonl"
-    manifest.write_text(manifest.read_text().replace("u2.bin", "u2.tsv"), encoding="utf-8")
+def test_zero_probability_row_fails_its_utterance(corpus, caplog, capsys):
+    # columns: a, b, space, blank; the first frame gives every token -inf.
+    # LogProbMatrix refuses such a row, so the unnormalized file is packed by hand.
+    values = np.array([[-np.inf] * 4, [0.0, -np.inf, -np.inf, -np.inf]], dtype="<f4")
+    (corpus / "u2.bin").write_bytes(_HEADER.pack(b"CTCL", 1, 0, 0, 2, 4) + values.tobytes())
     out = corpus / "out.jsonl"
-    code = main(["decode", *args_vocab(corpus), "--manifest", str(manifest),
+    code = main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
                  "--context-list", str(corpus / "ctx.txt"), "--output", str(out)])
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -260,15 +260,15 @@ class TestDecode:
         assert meta["utterances"] == 0
 
     def test_graph_spelling_a_word_with_the_blank_is_a_data_error(self, corpus, caplog):
-        # a file written without a blank (header -1) whose "ghost" is the
-        # vocabulary's blank token <b> (id 3)
+        # node 2 spells "ghost" with b (id 1), patched to the blank <b> (id 3)
         vocab = load_vocabulary(str(corpus / "vocab.txt"))
         entries = [BiasingEntry(canonical=w, transcriptions=((t,),)) for w, t in
-                   (("a", 0), ("ghost", 3))]
+                   (("a", 0), ("ghost", 1))]
         ghost = corpus / "ghost.graph"
-        save_graph(build_graph(entries, blank_id=2), str(ghost), vocab)
+        save_graph(build_graph(entries, blank_id=vocab.blank_id), str(ghost), vocab)
         raw = bytearray(ghost.read_bytes())
-        _G_HEADER.pack_into(raw, 0, *_G_HEADER.unpack_from(raw)[:-1], -1)
+        at = _G_HEADER.size + 2 * _G_NODE.size
+        _G_NODE.pack_into(raw, at, 3, *_G_NODE.unpack_from(raw, at)[1:])
         ghost.write_bytes(bytes(raw))
         out = corpus / "out.jsonl"
         code = main(
@@ -298,6 +298,8 @@ class TestDecode:
             ("--gamma-thr", "nan", "gamma_thr must not be NaN"),
             ("--cb-w", "inf", "cb_w and ctc_w must be finite"),
             ("--ctc-w", "0", "ctc_w must be > 0"),
+            ("--workers", "0", "--workers must be at least 1, got 0"),
+            ("--workers", "-1", "--workers must be at least 1, got -1"),
         ],
     )
     def test_non_finite_config_is_usage_error(self, corpus, capsys, flag, value, message):
@@ -305,6 +307,49 @@ class TestDecode:
         assert code == 1
         assert capsys.readouterr().err == f"ctcspot decode: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--wordlist", "--no-auto-alts"])
+    def test_list_flags_with_a_graph_are_usage_errors(self, corpus, capsys, flag):
+        words = corpus / "words.txt"
+        words.write_text("a\nb\n", encoding="utf-8")
+        extra = [flag, str(words)] if flag == "--wordlist" else [flag]
+        graph = corpus / "graph.bin"
+        main(["build-graph", *args_vocab(corpus),
+              "--context-list", str(corpus / "ctx.txt"), "--output", str(graph)])
+        capsys.readouterr()
+        out = corpus / "out.jsonl"
+        code = main(
+            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+             "--graph", str(graph), "--output", str(out), *extra]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ctcspot decode: error: --wordlist and --no-auto-alts go only with --context-list\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "utterances, workers, pools", [(2, 3, [2]), (1, 2, []), (0, 2, [])]
+    )
+    def test_pool_is_no_larger_than_the_manifest(
+        self, corpus, monkeypatch, utterances, workers, pools
+    ):
+        sizes = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        manifest = corpus / "manifest.jsonl"
+        rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest.write_text("".join(rows[:utterances]), encoding="utf-8")
+        _, serial = self.decode(corpus, "w1.jsonl")
+        code, pooled = self.decode(corpus, "wn.jsonl", extra=["--workers", str(workers)])
+        assert code == 0
+        assert sizes == pools
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_no_pruning_flag_accepted(self, corpus):
         code, out = self.decode(corpus, extra=["--no-pruning"])
@@ -434,6 +479,23 @@ class TestMineList:
         )
         assert code == 0
         assert "a" not in out.read_text().splitlines()  # "a" was recognized
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "1.5"])
+    def test_max_accuracy_outside_unit_interval_is_usage_error(
+        self, corpus, capsys, monkeypatch, value
+    ):
+        monkeypatch.setattr(cli, "load_logprobs", lambda path: pytest.fail(f"read {path}"))
+        out = corpus / "mined.txt"
+        code = main(
+            ["mine-list", *args_vocab(corpus),
+             "--manifest", str(corpus / "manifest.jsonl"),
+             "--output", str(out), "--max-acc", value]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ctcspot mine-list: error: max_accuracy must be in [0, 1], got {float(value)}\n"
+        )
+        assert not out.exists()
 
 
 class TestGenAlts:

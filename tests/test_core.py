@@ -234,6 +234,15 @@ class TestVocabularyFile:
         with pytest.raises(InvalidValueError):
             load_vocabulary(str(p))
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0c", "\x1e"])
+    def test_a_line_ends_only_at_a_newline(self, tmp_path, separator):
+        # str.splitlines() would split here too; the context list does not
+        p = tmp_path / "vocab.txt"
+        p.write_text(f"a\nb{separator}c\n \n<b>\n", encoding="utf-8")
+        v = load_vocabulary(str(p))
+        assert v.tokens == ("a", f"b{separator}c", " ", "<b>")
+        assert v.blank_id == 3
+
 
 class TestLogProbFiles:
     @given(seed=st.integers(0, 2**31 - 1))
@@ -257,30 +266,23 @@ class TestLogProbFiles:
         write_logprobs(m, str(path))
         assert not load_logprobs(str(path)).normalized
 
-    def test_tsv(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("-1.0\t-2.0\n-0.5\t-3.0\n", encoding="utf-8")
-        m = load_logprobs(str(p))
-        assert not m.normalized
-        assert np.allclose(m.values, [[-1.0, -2.0], [-0.5, -3.0]])
-
-    def test_tsv_ragged(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("-1.0\t-2.0\n-0.5\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_logprobs(str(p))
-
-    def test_tsv_not_floats(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("-1.0\tfoo\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_logprobs(str(p))
-
-    def test_tsv_empty(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_logprobs(str(p))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda raw: b"-1.0\t-2.0\n-0.5\t-3.0\n",  # TSV text
+            lambda raw: b"X" + raw[1:],  # a damaged magic
+            lambda raw: b"",
+            lambda raw: b"not a matrix at all",
+        ],
+        ids=["tsv", "damaged-magic", "empty", "junk"],
+    )
+    def test_not_a_ctcl_file(self, tmp_path, make):
+        path = tmp_path / "m.bin"
+        write_logprobs(LogProbMatrix(values=np.full((2, 2), -1.0, dtype=np.float32)), str(path))
+        path.write_bytes(make(path.read_bytes()))
+        with pytest.raises(FormatError) as info:
+            load_logprobs(str(path))
+        assert str(info.value) == f"{path}: not a CTCL matrix file"
 
     def test_truncated_payload(self, tmp_path):
         m = LogProbMatrix(values=np.full((3, 2), -1.0, dtype=np.float32))

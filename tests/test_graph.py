@@ -267,19 +267,11 @@ class TestLoadGraphChecks:
         assert [n.entry_id for n in g.nodes] == [-1, -1, -1, 0, -1, 1]
         assert g.blank_id == vocab.blank_id
 
-    def test_header_without_blank_loads_with_the_vocabulary_blank(self, tmp_path):
+    def test_header_without_blank_is_rejected(self, tmp_path):
+        # -1 marked files written without a blank id; build-graph rewrites them
         vocab, path = _saved_gpu_up(tmp_path)
         _patch_header_blank(path, -1)
-        assert load_graph(str(path), vocab).blank_id == vocab.blank_id
-
-    def test_header_without_blank_still_rejects_the_vocabulary_blank(self, tmp_path):
-        # "ghost" is spelled with <b>, the blank of char_vocab("gpu") (id 4)
-        vocab = char_vocab("gpu")
-        g = build_graph([entry("gpu", tokenize("gpu", vocab)), entry("ghost", [4])], blank_id=3)
-        path = tmp_path / "ghost.graph"
-        save_graph(g, str(path), vocab)
-        _patch_header_blank(path, -1)
-        with pytest.raises(FormatError, match="node 4 has token id 4"):
+        with pytest.raises(VocabularyMismatchError, match="blank id -1 != vocabulary blank id 4"):
             load_graph(str(path), vocab)
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ctcspot import (
     EditOp,
+    InvalidValueError,
     align_words,
     edit_distance,
     evaluate,
@@ -220,6 +221,11 @@ class TestMineBiasingList:
         terms = {t for t, _, _ in mined}
         assert "gpu" not in terms  # matched once of two
         assert "gpu gpu" in terms
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5])
+    def test_max_accuracy_outside_unit_interval_is_rejected(self, value):
+        with pytest.raises(InvalidValueError, match=r"max_accuracy must be in \[0, 1\]"):
+            mine_biasing_list([("gpu", "cpu")], max_accuracy=value)
 
     def test_bigram_needs_both_matches(self):
         pairs = [("alpha beta", "alpha bexa")]
