@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Decode a corpus at several word-bonus values and tabulate the metrics.
 
-Runs the `decode` and `eval` subcommands once per bonus value and prints one
-table row each, so the precision/recall trade-off is visible at a glance.
+Compiles the context list once with the `build-graph` subcommand, runs
+`decode` on that graph and `eval` once per bonus value, and prints one table
+row each, so the precision/recall trade-off is visible at a glance.  The
+subcommands' own status lines are kept off stdout; their errors still go to
+stderr.
 
 Example:
     python3 scripts/sweep_cb_weight.py --data-dir /tmp/demo --out-dir /tmp/sweep
@@ -11,11 +14,19 @@ Example:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
-from ctcspot.cli import main as cli_main
+from ctcspot.cli import main as ctcspot_main
+
+
+def cli_main(argv: list[str]) -> int:
+    """Run one subcommand without its stdout status line."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return ctcspot_main(argv)
 
 
 def main(argv=None) -> int:
@@ -31,6 +42,15 @@ def main(argv=None) -> int:
     data = Path(args.data_dir)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    graph = out / "context.graph"
+    rc = cli_main([
+        "build-graph",
+        "--vocab", str(data / "vocab.txt"),
+        "--context-list", str(data / "context.txt"),
+        "--output", str(graph),
+    ])
+    if rc != 0:
+        return rc
 
     print(f"{'cb_w':>6} {'wer':>8} {'precision':>10} {'recall':>8} {'fscore':>8} {'seconds':>8}")
     for w in args.cb_w:
@@ -39,7 +59,7 @@ def main(argv=None) -> int:
             "decode",
             "--vocab", str(data / "vocab.txt"),
             "--manifest", str(data / "manifest.jsonl"),
-            "--context-list", str(data / "context.txt"),
+            "--graph", str(graph),
             "--output", str(decoded),
             "--cb-w", str(w),
             "--workers", str(args.workers),

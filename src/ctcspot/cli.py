@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,10 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vocab_args(p)
     p.add_argument("--manifest", required=True, help="JSONL utterance manifest")
     p.add_argument("--output", required=True, help="JSONL results file to write")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", default=None, help="prebuilt graph file")
-    src.add_argument("--context-list", default=None, help="biasing words to compile in-memory")
-    _add_alt_args(p)
+    p.add_argument("--graph", required=True, help="graph file written by build-graph")
     p.add_argument("--mode", choices=("ctc", "transducer"), default="ctc",
                    help="transcript source the candidates are spliced into")
     p.add_argument("--workers", type=int, default=1, help="parallel utterance workers")
@@ -136,15 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A bad flag value, reported on one stderr line as argparse words it (exit 1)."""
+
+
 @contextlib.contextmanager
-def _replace_on_success(path: str) -> Iterator[TextIO]:
-    """A UTF-8 text file written beside path and moved over it when the block
-    completes, so a run that fails midway leaves an earlier output as it was."""
+def _replace_on_success(path: str) -> Iterator[str]:
+    """A temporary path beside path, moved over it when the block completes,
+    so a run that fails midway leaves an earlier output as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    open(tmp, "x").close()  # claim the name: a file already there is never overwritten
     try:
-        with fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -161,9 +161,19 @@ def _read_lists(
     return [w for w, _ in rows], dict(rows), dictionary
 
 
-def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
-    """Context-list words and their spellings, expanded to entries, and the
-    number of words dropped as unsegmentable (logged as an error)."""
+def _load_vocab(args: argparse.Namespace) -> Vocabulary:
+    """The --vocab file with the --blank-id override; a faulty file is a data
+    error, a blank id outside the file's tokens a usage error."""
+    vocab = load_vocabulary(args.vocab)
+    if args.blank_id is None:
+        return vocab
+    if not 0 <= args.blank_id < vocab.size:
+        raise _UsageError(f"--blank-id must be in [0, {vocab.size - 1}], got {args.blank_id}")
+    return Vocabulary(tokens=vocab.tokens, blank_id=args.blank_id)
+
+
+def cmd_build_graph(args: argparse.Namespace) -> int:
+    vocab = _load_vocab(args)
     words, manual, dictionary = _read_lists(args)
     entries = expand_entries(
         words,
@@ -175,14 +185,9 @@ def _entries_from_args(args: argparse.Namespace, vocab: Vocabulary):
     dropped = len(words) - len(entries)
     if dropped:
         logger.error("%d of %d entries were unsegmentable and dropped", dropped, len(words))
-    return entries, dropped
-
-
-def cmd_build_graph(args: argparse.Namespace) -> int:
-    vocab = load_vocabulary(args.vocab, args.blank_id)
-    entries, dropped = _entries_from_args(args, vocab)
     graph = build_graph(entries, blank_id=vocab.blank_id)
-    save_graph(graph, args.output, vocab)
+    with _replace_on_success(args.output) as tmp:
+        save_graph(graph, tmp, vocab)
     transcriptions = sum(len(e.transcriptions) for e in entries)
     print(
         f"graph: {graph.num_nodes} nodes, {len(entries)} entries, "
@@ -208,7 +213,7 @@ def _decode_task(record: UtteranceRecord):
         )
         return row, elapsed, None
     except Exception as exc:  # one bad utterance must not kill the batch
-        return None, 0.0, f"{record.utterance_id}: {exc}"
+        return None, 0.0, f"{record.utterance_id}: {type(exc).__name__}: {exc}"
 
 
 def _decode_utterance(
@@ -261,17 +266,9 @@ def _decode_utterance(
     return json.dumps(row, ensure_ascii=False), elapsed
 
 
-def _usage_error(args: argparse.Namespace, message: object) -> int:
-    """Report a bad flag value on one stderr line, as argparse words it."""
-    print(f"ctcspot {args.command}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
-    if args.graph and (args.wordlist or args.no_auto_alts):
-        return _usage_error(args, "--wordlist and --no-auto-alts go only with --context-list")
     if args.workers < 1:
-        return _usage_error(args, f"--workers must be at least 1, got {args.workers}")
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = SpotterConfig(
             cb_w=args.cb_w,
@@ -282,14 +279,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
             pruning_enabled=not args.no_pruning,
         )
     except InvalidValueError as exc:
-        return _usage_error(args, exc)
-    vocab = load_vocabulary(args.vocab, args.blank_id)
-    dropped = 0
-    if args.graph:
-        graph = load_graph(args.graph, vocab)
-    else:
-        entries, dropped = _entries_from_args(args, vocab)
-        graph = build_graph(entries, blank_id=vocab.blank_id)
+        raise _UsageError(exc) from None
+    vocab = _load_vocab(args)
+    graph = load_graph(args.graph, vocab)
     records = load_manifest(args.manifest)
     # a pool starts all its processes at the first task: no more than there are utterances
     workers = min(args.workers, len(records))
@@ -298,7 +290,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     done = 0
     total_seconds = 0.0
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(_replace_on_success(args.output))
+        tmp = stack.enter_context(_replace_on_success(args.output))
+        out = stack.enter_context(open(tmp, "w", encoding="utf-8"))
         if workers <= 1:
             _init_worker(vocab, graph, cfg, args.mode)
             results = map(_decode_task, records)
@@ -319,14 +312,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 total_seconds += elapsed
 
     # timing lives beside the results so the results stay byte-stable
-    with _replace_on_success(args.output + ".meta.json") as fh:
+    with _replace_on_success(args.output + ".meta.json") as tmp, \
+            open(tmp, "w", encoding="utf-8") as fh:
         json.dump({"decode_seconds": total_seconds, "utterances": done}, fh)
         fh.write("\n")
     print(f"decoded {done}/{len(records)} utterances in {total_seconds:.3f} s "
           "(spotting and merging; file loads excluded)")
     for msg in failures:
         logger.error("%s", msg)
-    return EXIT_PARTIAL if failures or dropped else 0
+    return EXIT_PARTIAL if failures else 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -362,7 +356,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(pairs, biasing, decode_seconds=decode_seconds)
     payload = json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n"
     if args.output:
-        with _replace_on_success(args.output) as fh:
+        with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
         print(f"wer {report.wer:.2f}  fscore {report.fscore:.4f} "
               f"({report.precision:.4f}/{report.recall:.4f})  "
@@ -376,8 +370,8 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
     try:
         mine_biasing_list((), max_accuracy=args.max_acc)  # the threshold check, before any read
     except InvalidValueError as exc:
-        return _usage_error(args, exc)
-    vocab = load_vocabulary(args.vocab, args.blank_id)
+        raise _UsageError(exc) from None
+    vocab = _load_vocab(args)
     records = load_manifest(args.manifest)
     if not records:
         raise InvalidValueError(f"{args.manifest}: empty manifest")
@@ -390,11 +384,11 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
             lp = load_logprobs(record.logprob_path)
             pairs.append((record.text, greedy_ctc_align(lp, vocab).text))
         except Exception as exc:
-            failures.append(f"{record.utterance_id}: {exc}")
+            failures.append(f"{record.utterance_id}: {type(exc).__name__}: {exc}")
     if not pairs:
         raise InvalidValueError("no utterance had both reference text and a readable matrix")
     mined = mine_biasing_list(pairs, min_len=args.min_len, max_accuracy=args.max_acc)
-    with _replace_on_success(args.output) as fh:
+    with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for term, _, _ in mined:
             fh.write(term + "\n")
     print(f"mined {len(mined)} terms from {len(pairs)} utterances -> {args.output}")
@@ -406,7 +400,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
 def cmd_gen_alts(args: argparse.Namespace) -> int:
     words, manual, dictionary = _read_lists(args)
     auto_alts = not args.no_auto_alts
-    with _replace_on_success(args.output) as fh:
+    with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for word in words:
             variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
             fh.write("\t".join(variants) + "\n")
@@ -420,6 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"ctcspot {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DataError as exc:
         logger.error("%s", exc)
         return EXIT_DATA

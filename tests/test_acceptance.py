@@ -478,12 +478,19 @@ def test_criterion_10_batch_decode_is_deterministic(criterion, tmp_path):
                 write_logprobs(random_matrix(rng, 30, 12), str(tmp_path / name))
                 fh.write(json.dumps({"id": f"u{i:02d}", "logprobs": name}) + "\n")
 
+        assert cli_main([
+            "build-graph",
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--context-list", str(tmp_path / "ctx.txt"),
+            "--output", str(tmp_path / "ctx.graph"),
+        ]) == 0
+
         def run(out_name, workers):
             code = cli_main([
                 "decode",
                 "--vocab", str(tmp_path / "vocab.txt"),
                 "--manifest", str(tmp_path / "manifest.jsonl"),
-                "--context-list", str(tmp_path / "ctx.txt"),
+                "--graph", str(tmp_path / "ctx.graph"),
                 "--output", str(tmp_path / out_name),
                 "--workers", str(workers),
             ])

@@ -13,6 +13,7 @@ from ctcspot import (
     BiasingEntry,
     LogProbMatrix,
     build_graph,
+    expand_entries,
     load_vocabulary,
     save_graph,
     write_logprobs,
@@ -25,13 +26,16 @@ from ctcspot.graph import _G_HEADER, _G_NODE
 
 @pytest.fixture
 def corpus(tmp_path):
-    """Two utterances plus vocab/context files.
+    """Two utterances plus vocab/context files and the context list's graph.
 
     u1's greedy decode reads "bb" while the biasing word "ab" fits the
     frames better; u2 is a clean "a" no candidate can displace.
     """
     (tmp_path / "vocab.txt").write_text("a\nb\n \n<b>\n", encoding="utf-8")
     (tmp_path / "ctx.txt").write_text("ab\n", encoding="utf-8")
+    vocab = load_vocabulary(str(tmp_path / "vocab.txt"))
+    graph = build_graph(expand_entries(["ab"], vocab), blank_id=vocab.blank_id)
+    save_graph(graph, str(tmp_path / "ctx.graph"), vocab)
 
     def write_matrix(name: str, rows: list[list[float]]) -> None:
         values = log_softmax_rows(np.log(np.array(rows)))
@@ -69,6 +73,10 @@ def args_vocab(corpus) -> list[str]:
     return ["--vocab", str(corpus / "vocab.txt")]
 
 
+def args_graph(corpus) -> list[str]:
+    return ["--graph", str(corpus / "ctx.graph")]
+
+
 def read_rows(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -82,7 +90,7 @@ class TestBuildGraph:
              "--context-list", str(corpus / "ctx.txt"), "--output", str(out)]
         )
         assert code == 0
-        assert out.exists()
+        assert out.read_bytes() == (corpus / "ctx.graph").read_bytes()  # the fixture's graph
         # "ab" tokenizes two ways (ab, a b): root + 4 nodes, 2 transcriptions
         assert capsys.readouterr().out.strip() == (
             f"graph: 5 nodes, 1 entries, 2 transcriptions -> {out}"
@@ -100,21 +108,16 @@ class TestBuildGraph:
         assert "1 entries" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["build-graph", "decode"])
+@pytest.mark.parametrize("command", ["build-graph"])
 def test_dropped_entries_give_partial_exit(corpus, caplog, command):
     (corpus / "bad.txt").write_text("ab\nnvidia\nzz9\n", encoding="utf-8")
     out = corpus / "out.bin"
     argv = [command, *args_vocab(corpus), "--context-list", str(corpus / "bad.txt"),
             "--output", str(out)]
-    if command == "decode":
-        argv += ["--manifest", str(corpus / "manifest.jsonl")]
     assert main(argv) == 3
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["2 of 3 entries were unsegmentable and dropped"]
-    if command == "decode":
-        assert [r["merged_text"] for r in read_rows(out)] == ["ab", "a"]
-    else:
-        assert out.exists()
+    assert out.exists()
 
 
 def test_zero_probability_row_fails_its_utterance(corpus, caplog, capsys):
@@ -124,10 +127,10 @@ def test_zero_probability_row_fails_its_utterance(corpus, caplog, capsys):
     (corpus / "u2.bin").write_bytes(_HEADER.pack(b"CTCL", 1, 0, 0, 2, 4) + values.tobytes())
     out = corpus / "out.jsonl"
     code = main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
-                 "--context-list", str(corpus / "ctx.txt"), "--output", str(out)])
+                 *args_graph(corpus), "--output", str(out)])
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == ["u2: log-prob matrix has a row that is all -inf"]
+    assert errors == ["u2: InvalidValueError: log-prob matrix has a row that is all -inf"]
     assert [r["id"] for r in read_rows(out)] == ["u1"]
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
@@ -138,8 +141,7 @@ class TestDecode:
         code = main(
             ["decode", *args_vocab(corpus),
              "--manifest", str(corpus / "manifest.jsonl"),
-             "--context-list", str(corpus / "ctx.txt"),
-             "--output", str(out), *extra]
+             *args_graph(corpus), "--output", str(out), *extra]
         )
         return code, out
 
@@ -158,19 +160,6 @@ class TestDecode:
         assert meta["utterances"] == 2
         assert meta["decode_seconds"] >= 0.0
         assert "decoded 2/2 utterances" in capsys.readouterr().out
-
-    def test_prebuilt_graph_matches_in_memory_compile(self, corpus):
-        graph = corpus / "graph.bin"
-        main(["build-graph", *args_vocab(corpus),
-              "--context-list", str(corpus / "ctx.txt"), "--output", str(graph)])
-        _, from_list = self.decode(corpus, "a.jsonl")
-        code = main(
-            ["decode", *args_vocab(corpus),
-             "--manifest", str(corpus / "manifest.jsonl"),
-             "--graph", str(graph), "--output", str(corpus / "b.jsonl")]
-        )
-        assert code == 0
-        assert (corpus / "b.jsonl").read_bytes() == from_list.read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, corpus):
         _, first = self.decode(corpus, "r1.jsonl")
@@ -200,8 +189,7 @@ class TestDecode:
         out = corpus / "out.jsonl"
         code = main(
             ["decode", *args_vocab(corpus), "--manifest", str(manifest),
-             "--context-list", str(corpus / "ctx.txt"),
-             "--output", str(out), "--mode", "transducer"]
+             *args_graph(corpus), "--output", str(out), "--mode", "transducer"]
         )
         assert code == 0
         row = read_rows(out)[0]
@@ -222,12 +210,11 @@ class TestDecode:
         out = corpus / "out.jsonl"
         code = main(
             ["decode", *args_vocab(corpus), "--manifest", str(corpus / "t.jsonl"),
-             "--context-list", str(corpus / "ctx.txt"),
-             "--output", str(out), "--mode", "transducer"]
+             *args_graph(corpus), "--output", str(out), "--mode", "transducer"]
         )
         assert code == 3
         assert read_rows(out) == []
-        assert "u1: transducer word 'bee' ends at frame 4" in caplog.text
+        assert "u1: DimensionMismatchError: transducer word 'bee' ends at frame 4" in caplog.text
 
     def test_insertion_over_zero_probability_blanks_has_null_threshold(self, corpus):
         # columns a, b, space, blank: greedy reads only spaces, so "ab" overlaps
@@ -242,7 +229,7 @@ class TestDecode:
         out = corpus / "out.jsonl"
         code = main(
             ["decode", *args_vocab(corpus), "--manifest", str(corpus / "z.jsonl"),
-             "--context-list", str(corpus / "ctx.txt"), "--output", str(out)]
+             *args_graph(corpus), "--output", str(out)]
         )
         assert code == 0
         (row,) = read_rows(out)
@@ -308,26 +295,6 @@ class TestDecode:
         assert capsys.readouterr().err == f"ctcspot decode: error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--wordlist", "--no-auto-alts"])
-    def test_list_flags_with_a_graph_are_usage_errors(self, corpus, capsys, flag):
-        words = corpus / "words.txt"
-        words.write_text("a\nb\n", encoding="utf-8")
-        extra = [flag, str(words)] if flag == "--wordlist" else [flag]
-        graph = corpus / "graph.bin"
-        main(["build-graph", *args_vocab(corpus),
-              "--context-list", str(corpus / "ctx.txt"), "--output", str(graph)])
-        capsys.readouterr()
-        out = corpus / "out.jsonl"
-        code = main(
-            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
-             "--graph", str(graph), "--output", str(out), *extra]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "ctcspot decode: error: --wordlist and --no-auto-alts go only with --context-list\n"
-        )
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "utterances, workers, pools", [(2, 3, [2]), (1, 2, []), (0, 2, [])]
     )
@@ -368,8 +335,7 @@ class TestEval:
     def decode_first(self, corpus):
         main(["decode", *args_vocab(corpus),
               "--manifest", str(corpus / "manifest.jsonl"),
-              "--context-list", str(corpus / "ctx.txt"),
-              "--output", str(corpus / "out.jsonl")])
+              *args_graph(corpus), "--output", str(corpus / "out.jsonl")])
 
     def test_report_to_file(self, corpus, capsys):
         self.decode_first(corpus)
@@ -570,15 +536,16 @@ class TestUsageErrors:
             main(["build-graph", *args_vocab(corpus), "--output", "g.bin"])
         assert exc.value.code == 1
 
-    def test_graph_and_context_list_are_exclusive(self, corpus):
+    @pytest.mark.parametrize("flag", ["--context-list", "--wordlist", "--no-auto-alts"])
+    def test_decode_takes_no_list_flags(self, corpus, flag):
+        # the biasing list reaches decode only as a build-graph file
+        extra = [flag] if flag == "--no-auto-alts" else [flag, str(corpus / "ctx.txt")]
+        out = corpus / "out.jsonl"
         with pytest.raises(SystemExit) as exc:
-            main(
-                ["decode", *args_vocab(corpus),
-                 "--manifest", str(corpus / "manifest.jsonl"),
-                 "--graph", "g.bin", "--context-list", str(corpus / "ctx.txt"),
-                 "--output", "o.jsonl"]
-            )
+            main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+                  *args_graph(corpus), "--output", str(out), *extra])
         assert exc.value.code == 1
+        assert not out.exists()
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -592,6 +559,41 @@ class TestUsageErrors:
              "--output", str(corpus / "g.bin")]
         )
         assert code == 2
+
+    @staticmethod
+    def argv_with_blank_id(corpus, command: str, blank_id: int) -> list[str]:
+        argv = [command, *args_vocab(corpus), "--blank-id", str(blank_id),
+                "--output", str(corpus / "out.txt")]
+        if command == "build-graph":
+            return argv + ["--context-list", str(corpus / "ctx.txt")]
+        argv += ["--manifest", str(corpus / "manifest.jsonl")]
+        if command == "decode":
+            argv += args_graph(corpus)
+        return argv
+
+    @pytest.mark.parametrize("blank_id", [-1, 4], ids=["negative", "vocabulary-size"])
+    @pytest.mark.parametrize("command", ["build-graph", "decode", "mine-list"])
+    def test_blank_id_outside_the_vocabulary_is_usage_error(
+        self, corpus, capsys, command, blank_id
+    ):
+        before = sorted(p.name for p in corpus.iterdir())
+        assert main(self.argv_with_blank_id(corpus, command, blank_id)) == 1
+        assert capsys.readouterr().err == (
+            f"ctcspot {command}: error: --blank-id must be in [0, 3], got {blank_id}\n"
+        )
+        assert sorted(p.name for p in corpus.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "vocab", [b"a\n\nb\n<b>\n", b"a\nb\na\n<b>\n", b"a\nb\n\xe9\n<b>\n"],
+        ids=["empty-token", "duplicate-token", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["build-graph", "decode", "mine-list"])
+    def test_vocabulary_fault_stays_a_data_error(self, corpus, caplog, command, vocab):
+        (corpus / "vocab.txt").write_bytes(vocab)
+        assert main(self.argv_with_blank_id(corpus, command, 99)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "blank" not in errors[0]
+        assert not (corpus / "out.txt").exists()
 
 
 class TestBadTextInputs:
@@ -633,7 +635,7 @@ class TestBadTextInputs:
             "build-graph": ["build-graph", *args_vocab(corpus), *ctx,
                             "--wordlist", str(corpus / "words.txt"),
                             "--output", str(corpus / "g.bin")],
-            "decode": ["decode", *args_vocab(corpus), *ctx, "--mode", "transducer",
+            "decode": ["decode", *args_vocab(corpus), *args_graph(corpus), "--mode", "transducer",
                        "--manifest", str(corpus / "manifest.jsonl"),
                        "--output", str(corpus / "dec.jsonl")],
             "eval": ["eval", "--results", str(corpus / "out.jsonl"), *ctx,
@@ -681,8 +683,8 @@ class TestNonStringFields:
             "eval": ["eval", "--results", str(corpus / "out.jsonl"), *ctx, *manifest],
             "mine-list": ["mine-list", *args_vocab(corpus), *manifest,
                           "--output", str(corpus / "mined.txt")],
-            "decode": ["decode", *args_vocab(corpus), *ctx, *manifest, "--mode", "transducer",
-                       "--output", str(corpus / "dec.jsonl")],
+            "decode": ["decode", *args_vocab(corpus), *args_graph(corpus), *manifest,
+                       "--mode", "transducer", "--output", str(corpus / "dec.jsonl")],
         }[command]
         assert main(argv) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -702,10 +704,12 @@ class TestWrongWidthMatrix:
         argv = [command, *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
                 "--output", str(out)]
         if command == "decode":
-            argv += ["--context-list", str(corpus / "ctx.txt")]
+            argv += args_graph(corpus)
         assert main(argv) == 3
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == [f"u1: matrix has {width} columns, vocabulary has 4 tokens"]
+        assert errors == [
+            f"u1: DimensionMismatchError: matrix has {width} columns, vocabulary has 4 tokens"
+        ]
         if command == "decode":
             assert [r["id"] for r in read_rows(out)] == ["u2"]
         else:
@@ -748,11 +752,27 @@ class TestOutputReplacedOnlyWhenComplete:
 
         monkeypatch.setattr(cli.json, "dump", fail)
         code = main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
-                     "--context-list", str(corpus / "ctx.txt"),
-                     "--output", str(corpus / "out.jsonl")])
+                     *args_graph(corpus), "--output", str(corpus / "out.jsonl")])
         assert code == 2
         assert meta.read_bytes() == b"earlier\n"
         assert sorted(p.name for p in corpus.iterdir()) == sorted(before + ["out.jsonl"])
+
+    def test_build_graph(self, corpus, monkeypatch):
+        graph = corpus / "ctx.graph"
+        earlier = graph.read_bytes()
+        before = sorted(p.name for p in corpus.iterdir())
+
+        def fail_midway(graph, path, vocab):
+            with open(path, "wb") as fh:
+                fh.write(b"CTCG")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_graph", fail_midway)
+        code = main(["build-graph", *args_vocab(corpus), "--context-list", str(corpus / "ctx.txt"),
+                     "--output", str(graph)])
+        assert code == 2
+        assert graph.read_bytes() == earlier
+        assert sorted(p.name for p in corpus.iterdir()) == before
 
 
 def test_console_script_runs(corpus):
