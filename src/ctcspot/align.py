@@ -83,16 +83,24 @@ def greedy_ctc_align(
     ids = np.argmax(logprobs.values, axis=1)
     top_lp = logprobs.values[np.arange(frames), ids].astype(np.float64)
 
-    # collapse into (token, first frame, last frame, summed log-prob) runs
+    # collapse into (token, first frame, last frame, summed log-prob) runs;
+    # bounds holds every run's first frame, then `frames`
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), frames] if frames else []
+    tokens = ids.tolist()
+    top = top_lp.tolist()
     runs: list[tuple[int, int, int, float]] = []
-    blank = vocab.blank_id
-    run_start = 0
-    for t in range(1, frames + 1):
-        if t == frames or ids[t] != ids[run_start]:
-            tok = int(ids[run_start])
-            if tok != blank:
-                runs.append((tok, run_start, t - 1, float(top_lp[run_start:t].sum())))
-            run_start = t
+    for a, b in zip(bounds, bounds[1:]):
+        if tokens[a] == vocab.blank_id:
+            continue
+        # the sum equals top_lp[a:b].sum() bit for bit: numpy adds fewer than
+        # 8 values in order onto 0.0, as this loop does, and 8 or more pairwise
+        if b - a < 8:
+            total = 0.0
+            for lp in top[a:b]:
+                total += lp
+        else:
+            total = float(top_lp[a:b].sum())
+        runs.append((tokens[a], a, b - 1, total))
 
     bpe = vocab.has_marker_tokens
     space = vocab.space_id

@@ -301,7 +301,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 initializer=_init_worker,
                 initargs=(vocab, graph, cfg, args.mode),
             ))
-            results = pool.map(_decode_task, records)
+            # the manifest goes out in about 16 chunks per worker, so the IPC
+            # round trip is paid per chunk and not per utterance
+            results = pool.map(
+                _decode_task, records, chunksize=max(1, len(records) // (workers * 16))
+            )
         # map and pool.map both yield results in manifest order
         for row, elapsed, error in results:
             if error is not None:

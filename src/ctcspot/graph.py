@@ -70,12 +70,17 @@ class ContextGraph:
     nodes: list[_Node]
     canonicals: tuple[str, ...]
     blank_id: int
-    # largest token id in the trie (-1 if empty), computed once for spot's width
-    # check, so nodes must not change after the graph is made
+    # derived once from nodes for spot, so nodes must not change after the graph
+    # is made: per-node token ids and entry ids, and the largest token id in
+    # the trie (-1 if empty) for its width check
+    token_ids: list[int] = field(init=False, repr=False)
+    entry_ids: list[int] = field(init=False, repr=False)
     max_token_id: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.max_token_id = max((n.token_id for n in self.nodes[1:]), default=-1)
+        self.token_ids = [n.token_id for n in self.nodes]
+        self.entry_ids = [n.entry_id for n in self.nodes]
+        self.max_token_id = max(self.token_ids[1:], default=-1)
 
     @property
     def num_nodes(self) -> int:

@@ -53,10 +53,15 @@ def spot(
     records keep a best, the beam is a max and a filter, and the output is
     sorted by (start, end, entry).
 
-    Two shortcuts leave the pruned result unchanged.  The first-token gate
-    selects the admitted root children with one vectorized comparison,
-    made in float64 as the scalar test was (NumPy 2 would compare a
-    float32 row with a Python float in float32).  And a move is offered
+    The fresh empty hypothesis sits out a frame whose blank log-prob is
+    above beta_thr, and seeds only the root children whose log-prob is at
+    least gamma_thr.  Both tests run once for the whole matrix, before the
+    frame loop, and both compare in float64 as a scalar test on Python
+    floats would (NumPy 2 would compare a float32 column with a Python
+    float in float32).  Without pruning every frame seeds every root child,
+    and the gate holds only the frames-by-root-children float64 log-probs.
+
+    One shortcut leaves the pruned result unchanged: a move is offered
     for merging only if it scores at least lo = max(0, best score offered
     so far this frame) - beam_thr, the fresh empty hypothesis counting as
     0; end-of-word moves are recorded whatever their score.  This is
@@ -78,16 +83,28 @@ def spot(
     lps = memoryview(values.reshape(-1))
 
     nodes = graph.nodes
+    token_ids = graph.token_ids
+    entry_ids = graph.entry_ids
     root_children = nodes[ROOT].children
     root_tokens = np.fromiter(root_children.keys(), dtype=np.intp, count=len(root_children))
     root_nodes = list(root_children.values())
 
     pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
-    beta = cfg.beta_thr
-    # without pruning every first token is admitted and no move is discarded
-    gamma = cfg.gamma_thr if pruning else -math.inf
+    # without pruning no move is discarded
     beam = cfg.beam_thr if pruning else math.inf
+
+    # the blank-skip test and the first-token gate for every frame at once
+    if pruning:
+        seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > cfg.beta_thr))
+        first = values[np.ix_(seeded, root_tokens)].astype(np.float64)
+        rows, cols = np.nonzero(first >= cfg.gamma_thr)
+        gate_lps = first[rows, cols].tolist()
+        gate_nodes = [root_nodes[i] for i in cols.tolist()]
+        # frame t seeds gate_nodes[cuts[t]:cuts[t + 1]], in root-children order
+        cuts = np.searchsorted(seeded[rows], np.arange(frames + 1)).tolist()
+    else:
+        first = values[:, root_tokens].astype(np.float64)
 
     # (start, end, entry_id) -> best score seen for that candidate
     spotted: dict[tuple[int, int, int], float] = {}
@@ -116,48 +133,48 @@ def spot(
             spotted[key] = score
 
     for t in range(frames):
+        if pruning:
+            a, b = cuts[t], cuts[t + 1]
+            if a == b and not active:
+                continue  # nothing alive and the empty hypothesis seeds nothing
+            first_moves = zip(gate_nodes[a:b], gate_lps[a:b])
+        else:
+            first_moves = zip(root_nodes, first[t].tolist())
         off = t * width
         blank_lp = lps[off + blank]
-        seed = not (pruning and blank_lp > beta)
-        if not active and not seed:
-            continue  # nothing alive and the empty hypothesis sits this frame out
         current = {}
         best = 0.0
         lo = best - beam
 
-        if seed:
-            # expand the fresh empty hypothesis into the admitted first tokens
-            first = values[t, root_tokens].astype(np.float64)
-            admitted = np.flatnonzero(first >= gamma)
-            for i, lp in zip(admitted.tolist(), first[admitted].tolist()):
-                child = root_nodes[i]
-                score = lp + cb_w
-                if score >= lo:
-                    offer(child, False, score, t)
-                entry = nodes[child].entry_id
-                if entry >= 0:
-                    record(entry, t, t, score)
+        # expand the fresh empty hypothesis into the admitted first tokens
+        for child, lp in first_moves:
+            score = lp + cb_w
+            if score >= lo:
+                offer(child, False, score, t)
+            entry = entry_ids[child]
+            if entry >= 0:
+                record(entry, t, t, score)
 
         for node, blank_seen, base, start in active:
             score = base + blank_lp
             if score >= lo:
                 offer(node, True, score, start)
-            at = nodes[node]
-            tok = at.token_id
+            tok = token_ids[node]
             if not blank_seen:
                 # re-emit and stay: continues the current emission run
                 score = base + lps[off + tok] + cb_w
                 if score >= lo:
                     offer(node, False, score, start)
-                if at.entry_id >= 0:
-                    record(at.entry_id, start, t, score)
-            for ctok, child in at.children.items():
+                entry = entry_ids[node]
+                if entry >= 0:
+                    record(entry, start, t, score)
+            for ctok, child in nodes[node].children.items():
                 if ctok == tok and not blank_seen:
                     continue  # a repeated label needs a separating blank
                 score = base + lps[off + ctok] + cb_w
                 if score >= lo:
                     offer(child, False, score, start)
-                entry = nodes[child].entry_id
+                entry = entry_ids[child]
                 if entry >= 0:
                     record(entry, start, t, score)
 

@@ -153,6 +153,40 @@ class TestGreedyAlign:
 
     @given(seed=st.integers(0, 2**31 - 1), bpe=st.booleans())
     @settings(max_examples=150, deadline=None)
+    def test_scores_equal_per_run_sums_exactly(self, seed, bpe):
+        vocab = bpe_vocab() if bpe else char_vocab("abcde")  # both have 7 tokens
+        rng = np.random.default_rng(seed)
+        # 1-10 runs of random tokens, about half shorter than 8 frames, which
+        # numpy sums in order, and the rest 8-300 frames, which it sums
+        # pairwise; at least one run is long
+        n = int(rng.integers(1, 11))
+        lengths = np.where(rng.random(n) < 0.5, rng.integers(1, 8, n), rng.integers(8, 301, n))
+        lengths[rng.integers(n)] = rng.integers(8, 301)
+        ids = np.repeat(rng.integers(0, vocab.size, n), lengths)
+        # argmax log-probs spread over ten orders of magnitude, so their
+        # float64 sums round and the order of the additions shows
+        values = np.full((len(ids), vocab.size), -60.0, dtype=np.float32)
+        values[np.arange(len(ids)), ids] = -np.exp(rng.uniform(-25.0, 1.0, len(ids)))
+        lp = LogProbMatrix(values=values)
+        ctc_w = 0.7
+        got = greedy_ctc_align(lp, vocab, ctc_w=ctc_w)
+
+        # the per-run rule, one Python loop over the frames: a word scores
+        # ctc_w times the sum, in run order, of top_lp[a:b].sum() over its runs
+        top_lp = lp.values[np.arange(len(ids)), ids].astype(np.float64)
+        runs = []
+        a = 0
+        for b in range(1, len(ids) + 1):
+            if b == len(ids) or ids[b] != ids[a]:
+                if ids[a] != vocab.blank_id:
+                    runs.append((a, b - 1, float(top_lp[a:b].sum())))
+                a = b
+        for w in got.words:
+            inside = [r[2] for r in runs if w.start_frame <= r[0] and r[1] <= w.end_frame]
+            assert w.score == ctc_w * sum(inside)
+
+    @given(seed=st.integers(0, 2**31 - 1), bpe=st.booleans())
+    @settings(max_examples=150, deadline=None)
     def test_text_matches_reference_decoder(self, seed, bpe):
         rng = np.random.default_rng(seed)
         if bpe:

@@ -172,6 +172,40 @@ class TestDecode:
         assert code == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_chunked_workers_keep_manifest_order_and_isolate_a_failure(
+        self, corpus, monkeypatch, caplog
+    ):
+        # 120 utterances over 2 workers go out in chunks of 3; the corrupt
+        # matrix in the middle fails only its own utterance
+        chunksizes = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        (corpus / "bad.bin").write_bytes(b"CTCL" + b"\0" * 5)
+        ids = [f"u{i:03d}" for i in range(120)]
+        with open(corpus / "manifest.jsonl", "w", encoding="utf-8") as fh:
+            for i, uid in enumerate(ids):
+                path = "bad.bin" if uid == "u061" else f"u{i % 2 + 1}.bin"
+                fh.write(json.dumps({"id": uid, "logprobs": path, "text": "a"}) + "\n")
+        outputs = {}
+        for workers in ("1", "2"):
+            caplog.clear()
+            code, outputs[workers] = self.decode(
+                corpus, f"w{workers}.jsonl", extra=["--workers", workers]
+            )
+            assert code == 3
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert len(errors) == 1 and errors[0].startswith("u061: FormatError: ")
+            assert [r["id"] for r in read_rows(outputs[workers])] == [
+                uid for uid in ids if uid != "u061"
+            ]
+        assert chunksizes == [3]
+        assert outputs["1"].read_bytes() == outputs["2"].read_bytes()
+
     def test_transducer_mode(self, corpus):
         align = corpus / "u1.align.jsonl"
         align.write_text(

@@ -89,7 +89,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph([], blank_id=0)
         assert g.num_nodes == 1
-        assert g.max_token_id == -1
+        assert (g.token_ids, g.entry_ids, g.max_token_id) == ([-1], [-1], -1)
 
 
 class TestTokenize:
@@ -173,6 +173,11 @@ class TestSaveLoad:
         assert g2.blank_id == g.blank_id
         assert g2.canonicals == g.canonicals
         assert g2.num_nodes == g.num_nodes
+        # the lists spot reads are derived from the nodes, built or loaded
+        for h in (g, g2):
+            assert h.token_ids == [n.token_id for n in h.nodes]
+            assert h.entry_ids == [n.entry_id for n in h.nodes]
+            assert h.max_token_id == 2  # u
         for a, b in zip(g.nodes, g2.nodes):
             assert (a.token_id, a.parent, a.is_end_of_word, a.entry_id) == (
                 b.token_id,

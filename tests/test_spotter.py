@@ -172,6 +172,19 @@ class TestPruning:
         got = spot(LogProbMatrix(values=values), graph, SpotterConfig(gamma_thr=gamma))
         assert len(got) == (1 if float(lp32) >= gamma else 0)
 
+    @pytest.mark.parametrize("nudge", [1e-9, -1e-9])
+    def test_blank_skip_compares_in_float64(self, nudge):
+        # float32 cannot tell the blank log-prob from beta_thr; float64 can,
+        # and the empty hypothesis sits the frame out exactly when the blank
+        # log-prob is above the threshold
+        lp32 = np.float32(-0.5)
+        beta = float(lp32) + nudge
+        assert np.float32(beta) == lp32
+        values = np.array([[lp32, -1.0]], dtype=np.float32)
+        _, graph = entries_graph((1,))
+        got = spot(LogProbMatrix(values=values), graph, SpotterConfig(beta_thr=beta))
+        assert len(got) == (0 if float(lp32) > beta else 1)
+
     def test_floor_discard_keeps_end_of_word_records(self):
         # both candidates score below -beam_thr: the moves that end them are
         # never offered to the next frame, yet each is still reported
