@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log prob gate on a word's first token")
     p.add_argument("--beam-thr", type=float, default=_DEFAULTS.beam_thr,
                    help="beam width below the frame-best score")
-    p.add_argument("--no-pruning", action="store_true",
-                   help="exhaustive search: no beam, state, or threshold pruning")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score decode results against manifest references")
@@ -276,7 +274,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
             beta_thr=args.beta_thr,
             gamma_thr=args.gamma_thr,
             beam_thr=args.beam_thr,
-            pruning_enabled=not args.no_pruning,
         )
     except InvalidValueError as exc:
         raise _UsageError(exc) from None

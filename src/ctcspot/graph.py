@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import BOUNDARY_MARKER, Vocabulary
-from .errors import (
-    FormatError,
-    InvalidValueError,
-    UnsegmentableError,
-    VocabularyMismatchError,
-)
+from .errors import FormatError, InvalidValueError, UnsegmentableError, VocabularyMismatchError
 
 logger = logging.getLogger(__name__)
 
 ROOT = 0
 
 _G_MAGIC = b"CTCG"
-_G_VERSION = 1
+_G_VERSION = 2
 # magic, version, reserved (x2), vocab sha256, node count, entry count, blank id.
 _G_HEADER = struct.Struct("<4sBBH32sIIi")
-# token id (-1 at root), parent index, end-of-word flag, entry id (-1 if none).
-_G_NODE = struct.Struct("<iIBi")
+# then three node-count-long columns of this type: token ids (-1 at the root),
+# parents (0 at the root) and entry ids (-1 if none); then the entry table
+_G_INT = np.dtype("<i4")
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,12 @@ class BiasingEntry:
         object.__setattr__(self, "transcriptions", trans)
 
 
-@dataclass
-class _Node:
-    token_id: int  # -1 at the root
+class GraphNode(NamedTuple):
+    """A trie node as the file stores it; the root is its own parent."""
+
+    token_id: int
     parent: int
-    entry_id: int = -1  # the entry this node ends, -1 if it ends none
-    children: dict[int, int] = field(default_factory=dict)  # token id -> node index
+    entry_id: int
 
     @property
     def is_end_of_word(self) -> bool:
@@ -65,62 +65,81 @@ class _Node:
 
 @dataclass
 class ContextGraph:
-    """Trie of entry transcriptions; the spotter walks it with CTC moves."""
+    """Trie of entry transcriptions; the spotter walks it with CTC moves.
 
-    nodes: list[_Node]
+    Nodes are numbered breadth-first, each node's children contiguous and in
+    ascending token order.  Node i carries token_ids[i] (-1 at the root),
+    ends entry entry_ids[i] (-1 if none) and has the children
+    range(first_child[i], first_child[i + 1]).
+    """
+
+    token_ids: list[int]
+    entry_ids: list[int]
+    first_child: list[int]  # num_nodes + 1 long
     canonicals: tuple[str, ...]
     blank_id: int
-    # derived once from nodes for spot, so nodes must not change after the graph
-    # is made: per-node token ids and entry ids, and the largest token id in
-    # the trie (-1 if empty) for its width check
-    token_ids: list[int] = field(init=False, repr=False)
-    entry_ids: list[int] = field(init=False, repr=False)
-    max_token_id: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.token_ids = [n.token_id for n in self.nodes]
-        self.entry_ids = [n.entry_id for n in self.nodes]
-        self.max_token_id = max(self.token_ids[1:], default=-1)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.token_ids)
+
+    @functools.cached_property
+    def max_token_id(self) -> int:
+        """Largest token id (-1 if empty), cached: the lists must not change after first use."""
+        return max(self.token_ids[1:], default=-1)
+
+    @property
+    def nodes(self) -> tuple[GraphNode, ...]:
+        """Per-node view, built on each access and never stored; bench/worker.py
+        compares a saved and reloaded graph through it."""
+        return tuple(map(GraphNode, self.token_ids, _parents(self.first_child), self.entry_ids))
+
+
+def _parents(first_child: list[int]) -> list[int]:
+    """Each node's parent, the root being its own, from the child ranges."""
+    return [ROOT] + np.repeat(np.arange(len(first_child) - 1), np.diff(first_child)).tolist()
+
+
+def _first_child(parents: np.ndarray) -> list[int]:
+    """first_child from a breadth-first parents column (root first)."""
+    return (np.searchsorted(parents[1:], np.arange(len(parents) + 1)) + 1).tolist()
 
 
 def build_graph(entries: list[BiasingEntry], blank_id: int) -> ContextGraph:
     """Insert every transcription of every entry into a shared prefix trie.
 
     A transcription containing blank_id is rejected.  One identical to an
-    earlier entry's is reported and dropped (first entry wins).  Entry order
-    only affects node numbering.
+    earlier entry's is reported and dropped (first entry wins).  Node
+    numbering does not depend on entry order.
     """
-    nodes = [_Node(token_id=-1, parent=ROOT)]
+    owner: dict[tuple[int, ...], int] = {}
     for entry_id, entry in enumerate(entries):
         for seq in entry.transcriptions:
             if blank_id in seq:
                 raise InvalidValueError(f"{entry.canonical!r}: transcription contains the blank id")
-            at = ROOT
-            for tok in seq:
-                nxt = nodes[at].children.get(tok)
-                if nxt is None:
-                    nxt = len(nodes)
-                    nodes.append(_Node(token_id=tok, parent=at))
-                    nodes[at].children[tok] = nxt
-                at = nxt
-            if nodes[at].is_end_of_word and nodes[at].entry_id != entry_id:
-                first = entries[nodes[at].entry_id].canonical
-                logger.warning(
-                    "duplicate transcription: %r already spelled by %r (first wins)",
-                    entry.canonical,
-                    first,
-                )
-                continue
-            nodes[at].entry_id = entry_id
-    return ContextGraph(
-        nodes=nodes,
-        canonicals=tuple(e.canonical for e in entries),
-        blank_id=blank_id,
-    )
+            first = owner.setdefault(seq, entry_id)
+            if first != entry_id:
+                logger.warning("duplicate transcription: %r already spelled by %r (first wins)",
+                               entry.canonical, entries[first].canonical)
+    token_ids, parents, entry_ids = [-1], [ROOT], [-1]
+    # one depth at a time: sorted transcriptions list the prefixes of each
+    # length in breadth-first order, equal prefixes next to each other, and a
+    # transcription comes before those it is a prefix of, so it opens its node
+    level = [(seq, ROOT) for seq in sorted(owner)]
+    depth = 0
+    while level:
+        deeper, last = [], None
+        for seq, parent in level:
+            if (parent, seq[depth]) != last:
+                last = (parent, seq[depth])
+                token_ids.append(seq[depth])
+                parents.append(parent)
+                entry_ids.append(owner[seq] if len(seq) == depth + 1 else -1)
+            if len(seq) > depth + 1:
+                deeper.append((seq, len(token_ids) - 1))
+        level, depth = deeper, depth + 1
+    canonicals = tuple(e.canonical for e in entries)
+    return ContextGraph(token_ids, entry_ids, _first_child(np.array(parents)), canonicals, blank_id)
 
 
 def tokenize(word: str, vocab: Vocabulary) -> list[int]:
@@ -197,36 +216,26 @@ def vocab_fingerprint(vocab: Vocabulary) -> bytes:
 
 def save_graph(graph: ContextGraph, path: str, vocab: Vocabulary) -> None:
     """Serialize the graph with the vocabulary fingerprint embedded."""
+    header = _G_HEADER.pack(_G_MAGIC, _G_VERSION, 0, 0, vocab_fingerprint(vocab),
+                            graph.num_nodes, len(graph.canonicals), graph.blank_id)
+    columns = [graph.token_ids, _parents(graph.first_child), graph.entry_ids]
     with open(path, "wb") as fh:
-        fh.write(
-            _G_HEADER.pack(
-                _G_MAGIC,
-                _G_VERSION,
-                0,
-                0,
-                vocab_fingerprint(vocab),
-                len(graph.nodes),
-                len(graph.canonicals),
-                graph.blank_id,
-            )
-        )
-        for n in graph.nodes:
-            fh.write(_G_NODE.pack(n.token_id, n.parent, int(n.is_end_of_word), n.entry_id))
+        fh.write(header)
+        fh.write(np.array(columns, dtype=_G_INT).tobytes())
         for word in graph.canonicals:
             data = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(data)))
-            fh.write(data)
+            fh.write(struct.pack("<I", len(data)) + data)
 
 
 def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
     """Load a serialized graph, refusing one built against a different vocabulary.
 
     The header's blank id must be the vocabulary's.  Everything build_graph
-    guarantees is checked: the root comes first, every node follows its
-    parent, a parent has at most one child per token, non-root tokens are
-    vocabulary ids other than the blank, the end flag is set exactly on
-    nodes with an entry id, entry ids index the entry table, and canonicals
-    are non-empty UTF-8.
+    guarantees is checked: the root comes first, parents never decrease and
+    each precedes its children (breadth-first order, children contiguous),
+    non-root tokens are vocabulary ids other than the blank and strictly
+    increase among a parent's children, entry ids index the entry table, and
+    canonicals are non-empty UTF-8.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -236,55 +245,49 @@ def load_graph(path: str, vocab: Vocabulary) -> ContextGraph:
         raise FormatError(f"{path}: truncated header")
     _, version, _, _, digest, node_count, entry_count, blank = _G_HEADER.unpack_from(raw)
     if version != _G_VERSION:
-        raise FormatError(f"{path}: unsupported graph version {version}")
+        raise FormatError(f"{path}: unsupported graph version {version}; rebuild with build-graph")
     if digest != vocab_fingerprint(vocab):
         raise VocabularyMismatchError(f"{path}: graph was built against a different vocabulary")
     if blank != vocab.blank_id:
         raise VocabularyMismatchError(
             f"{path}: graph blank id {blank} != vocabulary blank id {vocab.blank_id}"
         )
-    if node_count == 0:
-        raise FormatError(f"{path}: no root node")
-    offset = _G_HEADER.size + node_count * _G_NODE.size
+    offset = _G_HEADER.size + 3 * node_count * _G_INT.itemsize
     if offset > len(raw):
         raise FormatError(f"{path}: truncated node table")
-    nodes: list[_Node] = []
-    for i, (token_id, parent, end_flag, entry_id) in enumerate(
-        _G_NODE.iter_unpack(raw[_G_HEADER.size:offset])
+    columns = np.frombuffer(raw, dtype=_G_INT, count=3 * node_count, offset=_G_HEADER.size)
+    tokens, parents, entries = columns.reshape(3, node_count)
+    if node_count == 0 or (tokens[ROOT], parents[ROOT], entries[ROOT]) != (-1, ROOT, -1):
+        raise FormatError(f"{path}: the node table does not start with a root")
+    # nodes 1.. each against its predecessor; node 1's is the root, whose
+    # token -1 is below any token the vocabulary check lets through
+    tok, par, ent = tokens[1:], parents[1:], entries[1:]
+    for bad, name, column, why in (
+        ((par >= np.arange(1, node_count)) | (par < parents[:-1]), "parent", par,
+         ", out of breadth-first order"),
+        ((tok < 0) | (tok >= vocab.size) | (tok == blank), "token id", tok, ""),
+        ((par == parents[:-1]) & (tok <= tokens[:-1]), "token id", tok,
+         ", not above its previous sibling's"),
+        ((ent < -1) | (ent >= entry_count), "entry id", ent, ""),
     ):
-        if end_flag != (entry_id >= 0) or not -1 <= entry_id < entry_count:
-            raise FormatError(
-                f"{path}: node {i} has end flag {end_flag} and entry id {entry_id} "
-                f"({entry_count} entries)"
-            )
-        if i == ROOT:
-            if (token_id, parent, entry_id) != (-1, ROOT, -1):
-                raise FormatError(f"{path}: node 0 is not a root")
-        elif not parent < i:
-            raise FormatError(f"{path}: node {i} precedes its parent")
-        elif not 0 <= token_id < vocab.size or token_id == vocab.blank_id:
-            raise FormatError(f"{path}: node {i} has token id {token_id}")
-        elif token_id in nodes[parent].children:
-            raise FormatError(f"{path}: node {i} repeats token {token_id} under node {parent}")
-        else:
-            nodes[parent].children[token_id] = i
-        nodes.append(_Node(token_id=token_id, parent=parent, entry_id=entry_id))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise FormatError(f"{path}: node {i + 1} has {name} {column[i]}{why}")
     canonicals = []
     for k in range(entry_count):
         if offset + 4 > len(raw):
             raise FormatError(f"{path}: truncated entry table")
         (length,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        if offset + length > len(raw):
+        data, offset = raw[offset + 4:offset + 4 + length], offset + 4 + length
+        if offset > len(raw):
             raise FormatError(f"{path}: truncated entry table")
         try:
-            word = raw[offset:offset + length].decode("utf-8")
+            canonicals.append(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: entry {k} is not valid UTF-8") from exc
-        if not word:
+        if not canonicals[-1]:
             raise FormatError(f"{path}: entry {k} is empty")
-        canonicals.append(word)
-        offset += length
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return ContextGraph(nodes=nodes, canonicals=tuple(canonicals), blank_id=vocab.blank_id)
+    return ContextGraph(tokens.tolist(), entries.tolist(), _first_child(parents),
+                        tuple(canonicals), vocab.blank_id)

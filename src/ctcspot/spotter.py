@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import LogProbMatrix, SpotterConfig
 from .errors import DimensionMismatchError
-from .graph import ROOT, ContextGraph
+from .graph import ContextGraph
 
 
 class SpottedCandidate(NamedTuple):
@@ -48,7 +48,7 @@ def spot(
     a candidate keeps its best score, and -inf scores (some emission had
     probability zero) are never recorded.
 
-    The search walks graph.nodes as given, children in dict order.  The
+    The search walks each node's children in ascending token order.  The
     result does not depend on the order moves are made in: merges and
     records keep a best, the beam is a max and a filter, and the output is
     sorted by (start, end, entry).
@@ -82,12 +82,10 @@ def spot(
     # flat row-major view, no copy for a C-contiguous matrix; reads give Python floats
     lps = memoryview(values.reshape(-1))
 
-    nodes = graph.nodes
-    token_ids = graph.token_ids
-    entry_ids = graph.entry_ids
-    root_children = nodes[ROOT].children
-    root_tokens = np.fromiter(root_children.keys(), dtype=np.intp, count=len(root_children))
-    root_nodes = list(root_children.values())
+    token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
+    # the root is node 0 and its children are nodes 1 .. first_child[1] - 1
+    root_nodes = range(1, first_child[1])
+    root_tokens = np.array(token_ids[1:first_child[1]], dtype=np.intp)
 
     pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
@@ -100,7 +98,7 @@ def spot(
         first = values[np.ix_(seeded, root_tokens)].astype(np.float64)
         rows, cols = np.nonzero(first >= cfg.gamma_thr)
         gate_lps = first[rows, cols].tolist()
-        gate_nodes = [root_nodes[i] for i in cols.tolist()]
+        gate_nodes = (cols + 1).tolist()
         # frame t seeds gate_nodes[cuts[t]:cuts[t + 1]], in root-children order
         cuts = np.searchsorted(seeded[rows], np.arange(frames + 1)).tolist()
     else:
@@ -168,7 +166,8 @@ def spot(
                 entry = entry_ids[node]
                 if entry >= 0:
                     record(entry, start, t, score)
-            for ctok, child in nodes[node].children.items():
+            for child in range(first_child[node], first_child[node + 1]):
+                ctok = token_ids[child]
                 if ctok == tok and not blank_seen:
                     continue  # a repeated label needs a separating blank
                 score = base + lps[off + ctok] + cb_w

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import struct
 import subprocess
 
 import numpy as np
@@ -21,7 +23,7 @@ from ctcspot import (
 from ctcspot import cli
 from ctcspot.cli import main
 from ctcspot.core import _HEADER
-from ctcspot.graph import _G_HEADER, _G_NODE
+from ctcspot.graph import _G_HEADER
 
 
 @pytest.fixture
@@ -95,6 +97,14 @@ class TestBuildGraph:
         assert capsys.readouterr().out.strip() == (
             f"graph: 5 nodes, 1 entries, 2 transcriptions -> {out}"
         )
+
+    def test_same_list_gives_the_same_bytes(self, corpus, capsys):
+        (corpus / "many.txt").write_text("ab\nbaa\nabba\nbab\na b\nba\n", encoding="utf-8")
+        outs = [corpus / "first.graph", corpus / "second.graph"]
+        for out in outs:
+            assert main(["build-graph", *args_vocab(corpus),
+                         "--context-list", str(corpus / "many.txt"), "--output", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unsegmentable_entry_gives_partial_exit(self, corpus, capsys):
         (corpus / "bad.txt").write_text("ab\nqqq\n", encoding="utf-8")
@@ -288,8 +298,7 @@ class TestDecode:
         ghost = corpus / "ghost.graph"
         save_graph(build_graph(entries, blank_id=vocab.blank_id), str(ghost), vocab)
         raw = bytearray(ghost.read_bytes())
-        at = _G_HEADER.size + 2 * _G_NODE.size
-        _G_NODE.pack_into(raw, at, 3, *_G_NODE.unpack_from(raw, at)[1:])
+        struct.pack_into("<i", raw, _G_HEADER.size + 4 * 2, 3)  # the token id column
         ghost.write_bytes(bytes(raw))
         out = corpus / "out.jsonl"
         code = main(
@@ -299,6 +308,21 @@ class TestDecode:
         assert code == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{ghost}: node 2 has token id 3"]
+        assert not out.exists()
+
+    def test_version_1_graph_is_a_data_error(self, corpus, caplog):
+        old = corpus / "old.graph"
+        raw = bytearray((corpus / "ctx.graph").read_bytes())
+        raw[4] = 1  # the header's version byte
+        old.write_bytes(bytes(raw))
+        out = corpus / "out.jsonl"
+        code = main(
+            ["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
+             "--graph", str(old), "--output", str(out)]
+        )
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{old}: unsupported graph version 1; rebuild with build-graph"]
         assert not out.exists()
 
     def test_unreadable_matrix_skips_row(self, corpus):
@@ -352,10 +376,25 @@ class TestDecode:
         assert sizes == pools
         assert pooled.read_bytes() == serial.read_bytes()
 
-    def test_no_pruning_flag_accepted(self, corpus):
-        code, out = self.decode(corpus, extra=["--no-pruning"])
-        assert code == 0
-        assert read_rows(out)[0]["merged_text"] == "ab"
+    def test_no_pruning_flag_is_usage_error(self, corpus, capsys):
+        # exhaustive search has no memory bound; only the library offers it
+        with pytest.raises(SystemExit) as exc:
+            self.decode(corpus, extra=["--no-pruning"])
+        assert exc.value.code == 1
+        assert not (corpus / "out.jsonl").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --no-pruning" in captured.err
+
+    def test_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert sorted(options) == [
+            "--beam-thr", "--beta-thr", "--blank-id", "--cb-w", "--ctc-w", "--gamma-thr",
+            "--graph", "--manifest", "--mode", "--output", "--vocab", "--workers",
+        ]
 
 
 class TestEval:

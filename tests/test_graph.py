@@ -24,7 +24,7 @@ from ctcspot import (
     spot,
     tokenize,
 )
-from ctcspot.graph import _G_HEADER, _G_NODE, ROOT
+from ctcspot.graph import _G_HEADER, _G_INT, ROOT, GraphNode
 from oracle import exhaustive_segmentations
 
 
@@ -61,26 +61,47 @@ class TestBuildGraph:
         e2 = entry("geforce", tokenize("geforce", vocab))
         g = build_graph([e1, e2], blank_id=vocab.blank_id)
         assert g.num_nodes == 10
-        ends = [n for n in g.nodes if n.is_end_of_word]
-        assert len(ends) == 2
-        assert sorted(n.entry_id for n in ends) == [0, 1]
+        assert sorted(e for e in g.entry_ids if e >= 0) == [0, 1]
 
     def test_multiple_transcriptions_one_entry(self):
         g = build_graph([entry("ab", [1, 2], [3])], blank_id=0)
-        ends = [n for n in g.nodes if n.is_end_of_word]
-        assert len(ends) == 2
-        assert all(n.entry_id == 0 for n in ends)
+        assert sorted(e for e in g.entry_ids if e >= 0) == [0, 0]
+
+    def test_breadth_first_layout(self):
+        # "gpu" (0 1 2) and "up" (2 1) over char_vocab("gpu"): depth 1 holds
+        # g and u, depth 2 g>p and u>p, depth 3 g>p>u
+        vocab = char_vocab("gpu")
+        g = build_graph(
+            [entry("up", tokenize("up", vocab)), entry("gpu", tokenize("gpu", vocab))],
+            blank_id=vocab.blank_id,
+        )
+        assert g.token_ids == [-1, 0, 2, 1, 1, 2]
+        assert g.entry_ids == [-1, -1, -1, -1, 0, 1]
+        assert g.first_child == [1, 3, 4, 5, 6, 6, 6]
+        assert g.max_token_id == 2
+        assert g.nodes == (
+            GraphNode(-1, ROOT, -1),
+            GraphNode(0, 0, -1),
+            GraphNode(2, 0, -1),
+            GraphNode(1, 1, -1),
+            GraphNode(1, 2, 0),
+            GraphNode(2, 3, 1),
+        )
+        assert [n.is_end_of_word for n in g.nodes] == [False] * 4 + [True] * 2
 
     def test_duplicate_transcription_first_wins(self, caplog):
         e1 = entry("first", [1, 2])
         e2 = entry("second", [1, 2], [3])
+        e3 = entry("third", [3], [1, 2])
         with caplog.at_level("WARNING"):
-            g = build_graph([e1, e2], blank_id=0)
-        assert "first" in caplog.text
-        ends = {n.entry_id for n in g.nodes if n.is_end_of_word}
-        assert ends == {0, 1}  # [1,2] stays with entry 0; [3] still lands for entry 1
-        node = g.nodes[g.nodes[ROOT].children[1]].children[2]
-        assert g.nodes[node].entry_id == 0
+            g = build_graph([e1, e2, e3], blank_id=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "duplicate transcription: 'second' already spelled by 'first' (first wins)",
+            "duplicate transcription: 'third' already spelled by 'second' (first wins)",
+            "duplicate transcription: 'third' already spelled by 'first' (first wins)",
+        ]
+        # nodes: root, 1, 3, 1>2; [1,2] stays with entry 0 and [3] lands for entry 1
+        assert (g.token_ids, g.entry_ids) == ([-1, 1, 3, 2], [-1, -1, 1, 0])
 
     def test_blank_in_transcription_rejected(self):
         with pytest.raises(InvalidValueError):
@@ -89,7 +110,7 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph([], blank_id=0)
         assert g.num_nodes == 1
-        assert (g.token_ids, g.entry_ids, g.max_token_id) == ([-1], [-1], -1)
+        assert (g.token_ids, g.entry_ids, g.first_child, g.max_token_id) == ([-1], [-1], [1, 1], -1)
 
 
 class TestTokenize:
@@ -170,22 +191,29 @@ class TestSaveLoad:
         path = tmp_path / "g.bin"
         save_graph(g, str(path), vocab)
         g2 = load_graph(str(path), vocab)
-        assert g2.blank_id == g.blank_id
-        assert g2.canonicals == g.canonicals
-        assert g2.num_nodes == g.num_nodes
-        # the lists spot reads are derived from the nodes, built or loaded
-        for h in (g, g2):
-            assert h.token_ids == [n.token_id for n in h.nodes]
-            assert h.entry_ids == [n.entry_id for n in h.nodes]
-            assert h.max_token_id == 2  # u
-        for a, b in zip(g.nodes, g2.nodes):
-            assert (a.token_id, a.parent, a.is_end_of_word, a.entry_id) == (
-                b.token_id,
-                b.parent,
-                b.is_end_of_word,
-                b.entry_id,
-            )
-            assert a.children == b.children
+        assert g2 == g
+        assert g2.max_token_id == g.max_token_id == 2  # u
+
+    @seed(4042)
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seqs=st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=0, max_size=30
+        )
+    )
+    def test_saving_a_loaded_graph_gives_the_same_bytes(self, tmp_path, seqs):
+        vocab = char_vocab("abcd")  # blank id 5
+        g = build_graph([entry(f"w{i}", s) for i, s in enumerate(seqs)], blank_id=5)
+        first, second = tmp_path / "first.graph", tmp_path / "second.graph"
+        save_graph(g, str(first), vocab)
+        loaded = load_graph(str(first), vocab)
+        assert loaded == g
+        save_graph(loaded, str(second), vocab)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_vocab_mismatch(self, tmp_path):
         vocab = char_vocab("gpu")
@@ -234,7 +262,8 @@ class TestSaveLoad:
 def _saved_gpu_up(tmp_path):
     """Saved graph of "gpu" and "up" over char_vocab("gpu") (blank id 4).
 
-    Nodes: 0 root, 1 g, 2 g>p, 3 g>p>u (ends entry 0), 4 u, 5 u>p (ends entry 1).
+    Nodes, breadth-first: 0 root, 1 g, 2 u, 3 g>p, 4 u>p (ends entry 1),
+    5 g>p>u (ends entry 0).
     """
     vocab = char_vocab("gpu")
     g = build_graph(
@@ -247,20 +276,21 @@ def _saved_gpu_up(tmp_path):
 
 
 def _patch_node(path, index: int, **fields) -> None:
-    """Overwrite fields of one node record in a saved graph file."""
+    """Overwrite one node's token_id, parent or entry_id in a saved graph's columns."""
     raw = bytearray(path.read_bytes())
-    at = _G_HEADER.size + index * _G_NODE.size
-    record = dict(zip(("token_id", "parent", "end_flag", "entry_id"), _G_NODE.unpack_from(raw, at)))
-    record.update(fields)
-    _G_NODE.pack_into(raw, at, *record.values())
+    count = _G_HEADER.unpack_from(raw)[5]
+    for name, value in fields.items():
+        column = ("token_id", "parent", "entry_id").index(name)
+        at = _G_HEADER.size + _G_INT.itemsize * (column * count + index)
+        struct.pack_into("<i", raw, at, value)
     path.write_bytes(bytes(raw))
 
 
-def _patch_header_blank(path, blank: int) -> None:
-    """Overwrite the blank id in a saved graph's header."""
+def _patch_header(path, field: int, value: int) -> None:
+    """Overwrite one field of a saved graph's header."""
     raw = bytearray(path.read_bytes())
     fields = list(_G_HEADER.unpack_from(raw))
-    fields[-1] = blank
+    fields[field] = value
     _G_HEADER.pack_into(raw, 0, *fields)
     path.write_bytes(bytes(raw))
 
@@ -269,37 +299,76 @@ class TestLoadGraphChecks:
     def test_saved_graph_loads(self, tmp_path):
         vocab, path = _saved_gpu_up(tmp_path)
         g = load_graph(str(path), vocab)
-        assert [n.entry_id for n in g.nodes] == [-1, -1, -1, 0, -1, 1]
+        assert g.token_ids == [-1, 0, 2, 1, 1, 2]
+        assert g.entry_ids == [-1, -1, -1, -1, 1, 0]
+        assert g.first_child == [1, 3, 4, 5, 6, 6, 6]
         assert g.blank_id == vocab.blank_id
+
+    def test_version_1_file_is_rejected(self, tmp_path):
+        vocab, path = _saved_gpu_up(tmp_path)
+        _patch_header(path, 1, 1)
+        with pytest.raises(FormatError, match="graph version 1; rebuild with build-graph"):
+            load_graph(str(path), vocab)
+
+    def test_node_column_cut_short(self, tmp_path):
+        # the header counts 6 nodes; the last of the 3 columns ends after 5
+        vocab, path = _saved_gpu_up(tmp_path)
+        path.write_bytes(path.read_bytes()[:_G_HEADER.size + _G_INT.itemsize * (3 * 6 - 1)])
+        with pytest.raises(FormatError, match="truncated node table"):
+            load_graph(str(path), vocab)
 
     def test_header_without_blank_is_rejected(self, tmp_path):
         # -1 marked files written without a blank id; build-graph rewrites them
         vocab, path = _saved_gpu_up(tmp_path)
-        _patch_header_blank(path, -1)
+        _patch_header(path, -1, -1)
         with pytest.raises(VocabularyMismatchError, match="blank id -1 != vocabulary blank id 4"):
             load_graph(str(path), vocab)
 
     @pytest.mark.parametrize(
         "index, fields",
         [
-            (3, {"end_flag": 0}),  # entry id without the end flag
-            (2, {"end_flag": 1}),  # end flag without an entry id
-            (3, {"entry_id": -1}),  # end node with entry id -1
+            (4, {"parent": 0}),  # parents decreasing (1, then 0)
+            (5, {"parent": 5}),  # parent not before its child, parents still sorted
+            (4, {"parent": 1, "token_id": 0}),  # tokens decreasing under g (p, then g)
             (3, {"entry_id": 2}),  # entry id == entry count
             (3, {"entry_id": 5}),  # entry id past the entry table
-            (2, {"end_flag": 0, "entry_id": -2}),  # negative entry id other than -1
-            (4, {"token_id": 0}),  # second root child with token "g"
+            (2, {"entry_id": -2}),  # negative entry id other than -1
+            (4, {"parent": 1}),  # second child of g with token p
             (1, {"token_id": -3}),  # negative token id
             (1, {"token_id": 4}),  # the blank id
             (1, {"token_id": 5}),  # past the vocabulary
             (0, {"token_id": 2}),  # root carrying a token
+            (5, {"parent": 6}),  # parent past the node table
+            (0, {"parent": 1}),  # root with a parent
         ],
     )
     def test_rejects_what_build_graph_never_writes(self, tmp_path, index, fields):
         vocab, path = _saved_gpu_up(tmp_path)
         _patch_node(path, index, **fields)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_graph(str(path), vocab)
+        # reported at the node the corruption was made in
+        where = f"node {index} has " if index else "the node table does not start with a root"
+        assert str(err.value).startswith(f"{path}: {where}")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"parent": 0}, "node 4 has parent 0, out of breadth-first order"),
+            ({"parent": 4}, "node 4 has parent 4, out of breadth-first order"),
+            ({"parent": 1}, "node 4 has token id 1, not above its previous sibling's"),
+            ({"parent": 1, "token_id": 0},
+             "node 4 has token id 0, not above its previous sibling's"),
+        ],
+        ids=["parent-decreasing", "parent-not-before", "token-repeated", "token-decreasing"],
+    )
+    def test_out_of_order_node_says_why(self, tmp_path, fields, message):
+        # node 4 (u>p, parent 2) moved before its parent or under node 3's parent g
+        vocab, path = _saved_gpu_up(tmp_path)
+        _patch_node(path, 4, **fields)
+        with pytest.raises(FormatError) as err:
+            load_graph(str(path), vocab)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_rejects_canonical_that_is_not_utf8(self, tmp_path):
         vocab, path = _saved_gpu_up(tmp_path)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -230,30 +229,35 @@ def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -
     """The documented rule, written plainly: every move scoring at least
     -beam_thr is offered to state merging (best score, ties to the earlier
     start), then the frame's states are filtered by the beam."""
-    nodes = graph.nodes
+    token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
     blank = graph.blank_id
     pruning = cfg.pruning_enabled
     floor = -cfg.beam_thr if pruning else -math.inf
     gamma = cfg.gamma_thr if pruning else -math.inf
+
+    def children(node: int) -> range:
+        return range(first_child[node], first_child[node + 1])
+
     spotted: dict[tuple[int, int, int], float] = {}
     active: dict[tuple, tuple[float, int]] = {}
     for t, row in enumerate(lp.values.tolist()):
         moves = []  # (node, blank_seen, score, start)
         if not (pruning and row[blank] > cfg.beta_thr):
-            for tok, child in nodes[0].children.items():
-                if row[tok] >= gamma:
-                    moves.append((child, False, row[tok] + cfg.cb_w, t))
+            for child in children(0):
+                if row[token_ids[child]] >= gamma:
+                    moves.append((child, False, row[token_ids[child]] + cfg.cb_w, t))
         for (node, seen, *_), (base, start) in active.items():
             moves.append((node, True, base + row[blank], start))
-            tok = nodes[node].token_id
+            tok = token_ids[node]
             if not seen:
                 moves.append((node, False, base + row[tok] + cfg.cb_w, start))
-            for ctok, child in nodes[node].children.items():
+            for child in children(node):
+                ctok = token_ids[child]
                 if ctok != tok or seen:
                     moves.append((child, False, base + row[ctok] + cfg.cb_w, start))
         current: dict[tuple, tuple[float, int]] = {}
         for node, seen, score, start in moves:
-            entry = nodes[node].entry_id
+            entry = entry_ids[node]
             if not seen and entry >= 0 and score > -math.inf:
                 key = (entry, start, t)
                 spotted[key] = max(score, spotted.get(key, -math.inf))
@@ -267,14 +271,6 @@ def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -
             current = {k: v for k, v in current.items() if v[0] >= cutoff}
         active = current
     return sorted((s, e, entry, score) for (entry, s, e), score in spotted.items())
-
-
-def reversed_children(graph: ContextGraph) -> ContextGraph:
-    """The same trie with every node's children inserted in reverse order."""
-    nodes = [
-        dataclasses.replace(n, children=dict(reversed(n.children.items()))) for n in graph.nodes
-    ]
-    return ContextGraph(nodes=nodes, canonicals=graph.canonicals, blank_id=graph.blank_id)
 
 
 class TestAgainstReference:
@@ -315,10 +311,48 @@ class TestAgainstReference:
             pruning_enabled=data.draw(st.booleans()),
         )
         want = reference_spot(lp, graph, cfg)
-        for g in (graph, reversed_children(graph)):
-            got = spot(lp, g, cfg)
-            assert [(c.start_frame, c.end_frame, c.entry_id, c.score) for c in got] == want
-            assert all(c.word == g.canonicals[c.entry_id] for c in got)
+        got = spot(lp, graph, cfg)
+        assert [(c.start_frame, c.end_frame, c.entry_id, c.score) for c in got] == want
+        assert all(c.word == graph.canonicals[c.entry_id] for c in got)
+
+
+class TestEntryOrder:
+    """Entry order decides entry ids only: the trie and what spot finds stay."""
+
+    @seed(6111)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_permuted_entries_give_the_same_trie_and_candidates(self, data):
+        seqs = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 5), min_size=1, max_size=5).map(tuple),
+                min_size=1,
+                max_size=24,
+                unique=True,
+            )
+        )
+        # deal the distinct transcriptions out, so no entry loses one to first-wins
+        count = data.draw(st.integers(1, len(seqs)))
+        entries = [
+            BiasingEntry(canonical=f"w{k}", transcriptions=tuple(seqs[k::count]))
+            for k in range(count)
+        ]
+        perm = data.draw(st.permutations(range(count)))  # new entry j is old entry perm[j]
+        graph = build_graph(entries, blank_id=6)
+        permuted = build_graph([entries[k] for k in perm], blank_id=6)
+        new_id = {old: new for new, old in enumerate(perm)}
+        assert permuted.token_ids == graph.token_ids
+        assert permuted.first_child == graph.first_child
+        assert permuted.entry_ids == [new_id.get(e, -1) for e in graph.entry_ids]
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        lp = random_matrix(rng, int(rng.integers(1, 13)), 7, scale=float(rng.uniform(0.5, 4.0)))
+        cfg = data.draw(st.sampled_from([SpotterConfig(cb_w=1.0), EXHAUSTIVE]))
+        want = [(c.start_frame, c.end_frame, c.entry_id, c.word, c.score)
+                for c in spot(lp, graph, cfg)]
+        got = [(c.start_frame, c.end_frame, perm[c.entry_id], c.word, c.score)
+               for c in spot(lp, permuted, cfg)]
+        assert sorted(got) == want
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
