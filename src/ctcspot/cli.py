@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-thr", type=float, default=_DEFAULTS.gamma_thr,
                    help="log prob gate on a word's first token")
     p.add_argument("--beam-thr", type=float, default=_DEFAULTS.beam_thr,
-                   help="beam width below the frame-best score")
+                   help="beam width below the frame-best score (finite)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score decode results against manifest references")
@@ -277,6 +277,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         )
     except InvalidValueError as exc:
         raise _UsageError(exc) from None
+    if math.isinf(cfg.beam_thr):
+        # an infinite beam is the exhaustive search, which has no memory bound
+        raise _UsageError("--beam-thr must be finite")
     vocab = _load_vocab(args)
     graph = load_graph(args.graph, vocab)
     records = load_manifest(args.manifest)

@@ -130,7 +130,9 @@ class SpotterConfig:
     NaN is rejected in every field, the weights must be finite and ctc_w
     positive (0 would weight a zero-probability greedy word or blank to NaN).
     Infinite thresholds stay legal: gamma_thr=-inf admits every first token
-    and beam_thr=inf keeps every hypothesis.
+    and beam_thr=inf keeps every hypothesis apart, so
+    SpotterConfig(beta_thr=0.0, gamma_thr=-inf, beam_thr=inf) is the
+    exhaustive search (no memory bound).
     """
 
     cb_w: float = 3.0  # per-emission bonus for non-blank moves through the graph
@@ -138,7 +140,6 @@ class SpotterConfig:
     beta_thr: float = math.log(0.80)  # blank skip: empty hyps sit out frames above this
     gamma_thr: float = math.log(0.001)  # admission gate on a word's first token
     beam_thr: float = 7.0  # beam width below the per-frame best score
-    pruning_enabled: bool = True  # False: oracle mode, no pruning and no thresholds
 
     def __post_init__(self) -> None:
         for name in ("cb_w", "ctc_w", "beta_thr", "gamma_thr", "beam_thr"):
@@ -210,13 +211,13 @@ def finite_number(value: object) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def load_vocabulary(path: str, blank_id: int | None = None) -> Vocabulary:
+def load_vocabulary(path: str) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; token id = line number.
 
     Args:
         path: UTF-8 text file, one token per line (a line may be a lone space);
-            a line ends at "\n" only, as in every other text input.
-        blank_id: blank token id; defaults to the last token.
+            a line ends at "\n" only, as in every other text input.  The
+            last token is the blank.
 
     Returns:
         The validated Vocabulary.
@@ -229,8 +230,7 @@ def load_vocabulary(path: str, blank_id: int | None = None) -> Vocabulary:
     for i, tok in enumerate(lines):
         if tok == "":
             raise InvalidValueError(f"{path}: empty token at line {i + 1}")
-    bid = len(lines) - 1 if blank_id is None else blank_id
-    return Vocabulary(tokens=tuple(lines), blank_id=bid)
+    return Vocabulary(tokens=tuple(lines), blank_id=len(lines) - 1)
 
 
 def load_logprobs(path: str) -> LogProbMatrix:

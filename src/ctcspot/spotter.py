@@ -36,17 +36,18 @@ def spot(
 
     Returns raw candidates, deduplicated to the best score per
     (entry, start_frame, end_frame) and sorted by frame interval; overlap
-    resolution is find_best_hyps' job.  With cfg.pruning_enabled False the
-    search is exhaustive (no beam or state pruning, no thresholds) and the
-    best score per candidate equals the brute-force oracle's.
+    resolution is find_best_hyps' job.  With its thresholds off,
+    SpotterConfig(beta_thr=0.0, gamma_thr=-inf, beam_thr=inf), the search
+    is exhaustive (beta_thr=0 skips no frame, as no log-prob is above 0)
+    and the best score per candidate equals the brute-force oracle's.
 
-    A live state is a list [node, blank_seen, score, start].  With pruning
-    states merge on the int key node << 1 | blank_seen, as in beam search;
-    without it the key is (node, blank_seen, start), which merges only
-    hypotheses with identical futures and keeps exhaustive mode exact yet
-    polynomial.  A merge keeps the best score, ties to the earlier start;
-    a candidate keeps its best score, and -inf scores (some emission had
-    probability zero) are never recorded.
+    A live state is a list [node, blank_seen, score, start].  With a
+    finite beam states merge on the int key node << 1 | blank_seen, as in
+    beam search; with beam_thr=inf the key is (node, blank_seen, start),
+    which merges only hypotheses with identical futures and keeps the
+    unbounded search exact yet polynomial.  A merge keeps the best score,
+    ties to the earlier start; a candidate keeps its best score, and -inf
+    scores (some emission had probability zero) are never recorded.
 
     The search walks each node's children in ascending token order.  The
     result does not depend on the order moves are made in: merges and
@@ -58,17 +59,15 @@ def spot(
     least gamma_thr.  Both tests run once for the whole matrix, before the
     frame loop, and both compare in float64 as a scalar test on Python
     floats would (NumPy 2 would compare a float32 column with a Python
-    float in float32).  Without pruning every frame seeds every root child,
-    and the gate holds only the frames-by-root-children float64 log-probs.
+    float in float32).
 
-    One shortcut leaves the pruned result unchanged: a move is offered
-    for merging only if it scores at least lo = max(0, best score offered
-    so far this frame) - beam_thr, the fresh empty hypothesis counting as
-    0; end-of-word moves are recorded whatever their score.  This is
-    lossless because lo never exceeds the frame's final beam cutoff, which
-    is the final lo, so a dropped move would have been filtered by the
-    beam or lost its merge to a higher score.  Without pruning the beam is
-    infinite and lo stays -inf.
+    One shortcut leaves the result unchanged: a move is offered for
+    merging only if it scores at least lo = max(0, best score offered so
+    far this frame) - beam_thr, the fresh empty hypothesis counting as 0;
+    end-of-word moves are recorded whatever their score.  This is lossless
+    because lo never exceeds the frame's final beam cutoff, which is the
+    final lo, so a dropped move would have been filtered by the beam or
+    lost its merge to a higher score.  With beam_thr=inf lo stays -inf.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -84,25 +83,22 @@ def spot(
 
     token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
     # the root is node 0 and its children are nodes 1 .. first_child[1] - 1
-    root_nodes = range(1, first_child[1])
     root_tokens = np.array(token_ids[1:first_child[1]], dtype=np.intp)
 
-    pruning = cfg.pruning_enabled
     cb_w = cfg.cb_w
-    # without pruning no move is discarded
-    beam = cfg.beam_thr if pruning else math.inf
+    beam = cfg.beam_thr
+    # a beam bounds the live states by merging equal ones; with no beam
+    # there is no bound to keep, and hypotheses stay apart per start
+    merge_starts = beam < math.inf
 
     # the blank-skip test and the first-token gate for every frame at once
-    if pruning:
-        seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > cfg.beta_thr))
-        first = values[np.ix_(seeded, root_tokens)].astype(np.float64)
-        rows, cols = np.nonzero(first >= cfg.gamma_thr)
-        gate_lps = first[rows, cols].tolist()
-        gate_nodes = (cols + 1).tolist()
-        # frame t seeds gate_nodes[cuts[t]:cuts[t + 1]], in root-children order
-        cuts = np.searchsorted(seeded[rows], np.arange(frames + 1)).tolist()
-    else:
-        first = values[:, root_tokens].astype(np.float64)
+    seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > cfg.beta_thr))
+    first = values[np.ix_(seeded, root_tokens)].astype(np.float64)
+    rows, cols = np.nonzero(first >= cfg.gamma_thr)
+    gate_lps = first[rows, cols].tolist()
+    gate_nodes = (cols + 1).tolist()
+    # frame t seeds gate_nodes[cuts[t]:cuts[t + 1]], in root-children order
+    cuts = np.searchsorted(seeded[rows], np.arange(frames + 1)).tolist()
 
     # (start, end, entry_id) -> best score seen for that candidate
     spotted: dict[tuple[int, int, int], float] = {}
@@ -111,7 +107,7 @@ def spot(
     # offer and record act on the frame's current, best and lo, set in the loop
     def offer(node: int, blank_seen: bool, score: float, start: int) -> None:
         nonlocal best, lo
-        key = node << 1 | blank_seen if pruning else (node, blank_seen, start)
+        key = node << 1 | blank_seen if merge_starts else (node, blank_seen, start)
         state = current.get(key)
         if state is None:
             current[key] = [node, blank_seen, score, start]
@@ -131,13 +127,10 @@ def spot(
             spotted[key] = score
 
     for t in range(frames):
-        if pruning:
-            a, b = cuts[t], cuts[t + 1]
-            if a == b and not active:
-                continue  # nothing alive and the empty hypothesis seeds nothing
-            first_moves = zip(gate_nodes[a:b], gate_lps[a:b])
-        else:
-            first_moves = zip(root_nodes, first[t].tolist())
+        a, b = cuts[t], cuts[t + 1]
+        if a == b and not active:
+            continue  # nothing alive and the empty hypothesis seeds nothing
+        first_moves = zip(gate_nodes[a:b], gate_lps[a:b])
         off = t * width
         blank_lp = lps[off + blank]
         current = {}

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from ctcspot.cli import main as cli_main
 from ctcspot.metrics import align_words
 from oracle import best_path_score, levenshtein_distance, reference_greedy_decode
 
-EXHAUSTIVE = SpotterConfig(pruning_enabled=False)
+# every threshold off: no frame skipped, every first token admitted, no beam
+EXHAUSTIVE = SpotterConfig(beta_thr=0.0, gamma_thr=-math.inf, beam_thr=math.inf)
 
 
 @pytest.fixture
@@ -84,7 +86,7 @@ def test_criterion_01_exhaustive_search_matches_path_oracle(criterion):
             cb_w = float(rng.choice([0.0, 1.5, 3.0]))
             entries = _random_entries(rng, width, 3)
             graph = build_graph(entries, blank_id=0)
-            cfg = SpotterConfig(pruning_enabled=False, cb_w=cb_w)
+            cfg = replace(EXHAUSTIVE, cb_w=cb_w)
             got = {
                 (c.entry_id, c.start_frame, c.end_frame): c.score
                 for c in spot(lp, graph, cfg)
@@ -352,7 +354,7 @@ def test_criterion_07_bonus_sweep_trades_precision_for_recall(criterion):
         baseline_sets = None
         accepted_counts, tps, fps, fns, precisions, recalls, wers = [], [], [], [], [], [], []
         for c in range(6):
-            cfg = SpotterConfig(cb_w=float(c), pruning_enabled=False)
+            cfg = replace(EXHAUSTIVE, cb_w=float(c))
             pairs, accepted, resolved = [], 0, {}
             for utt_id, ref, lp in corpus:
                 greedy, winners, result = _pipeline(lp, graph, vocab, cfg)

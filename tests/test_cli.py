@@ -16,6 +16,7 @@ from ctcspot import (
     LogProbMatrix,
     build_graph,
     expand_entries,
+    load_logprobs,
     load_vocabulary,
     save_graph,
     write_logprobs,
@@ -345,6 +346,8 @@ class TestDecode:
             ("--ctc-w", "0", "ctc_w must be > 0"),
             ("--workers", "0", "--workers must be at least 1, got 0"),
             ("--workers", "-1", "--workers must be at least 1, got -1"),
+            # an infinite beam is the exhaustive search, which has no memory bound
+            ("--beam-thr", "inf", "--beam-thr must be finite"),
         ],
     )
     def test_non_finite_config_is_usage_error(self, corpus, capsys, flag, value, message):
@@ -723,6 +726,7 @@ class TestNonStringFields:
     """A JSON field of the wrong type or an empty path is a data error naming file and line."""
 
     STRINGS = "'id' and 'merged_text' must be strings"
+    NON_EMPTY_ID = "utterance id must be a non-empty string"
 
     @pytest.mark.parametrize(
         "command, name, row, message",
@@ -739,9 +743,12 @@ class TestNonStringFields:
              {"id": "u1", "logprobs": "u1.bin", "transducer_alignment": 5},
              "'transducer_alignment' must be a string or null"),
             ("decode", "manifest.jsonl", {"id": "u1", "logprobs": ""}, "'logprobs' is empty"),
+            ("decode", "manifest.jsonl", {"id": "", "logprobs": "u1.bin"}, NON_EMPTY_ID),
+            ("decode", "manifest.jsonl", {"id": 1, "logprobs": "u1.bin"}, NON_EMPTY_ID),
         ],
         ids=["eval-id", "eval-merged_text", "eval-text", "mine-list-logprobs",
-             "decode-logprobs", "decode-transducer_alignment", "decode-empty-logprobs"],
+             "decode-logprobs", "decode-transducer_alignment", "decode-empty-logprobs",
+             "decode-empty-id", "decode-number-id"],
     )
     def test_exits_2_with_one_line(self, corpus, caplog, command, name, row, message):
         first = {"id": "u0", "merged_text": "a"} if name == "out.jsonl" else {
@@ -788,6 +795,114 @@ class TestWrongWidthMatrix:
         else:
             assert out.read_text() == ""
             assert "from 1 utterances" in capsys.readouterr().out
+
+
+class TestRareBadInputs:
+    """Bad inputs on paths no other test takes, each with its documented exit code."""
+
+    @staticmethod
+    def decode(corpus, *extra) -> int:
+        return main(["decode", *args_vocab(corpus), *args_graph(corpus),
+                     "--manifest", str(corpus / "manifest.jsonl"),
+                     "--output", str(corpus / "out.jsonl"), *extra])
+
+    @staticmethod
+    def errors(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_zero_width_matrix_fails_its_utterance(self, corpus, caplog):
+        (corpus / "u1.bin").write_bytes(_HEADER.pack(b"CTCL", 1, 0, 0, 4, 0))
+        assert self.decode(corpus) == 3
+        assert self.errors(caplog) == [
+            "u1: InvalidValueError: log-prob matrix has zero vocabulary width"
+        ]
+        assert [r["id"] for r in read_rows(corpus / "out.jsonl")] == ["u2"]
+
+    def test_transducer_score_too_large_for_a_float_fails_its_utterance(self, corpus, caplog):
+        # a JSON integer float() cannot hold; finite_number turns its OverflowError into None
+        align = corpus / "u1.align.jsonl"
+        align.write_text(json.dumps({"word": "bee", "start_frame": 0, "end_frame": 2,
+                                     "score": 10**400}) + "\n", encoding="utf-8")
+        (corpus / "manifest.jsonl").write_text(
+            json.dumps({"id": "u1", "logprobs": "u1.bin", "transducer_alignment": align.name})
+            + "\n",
+            encoding="utf-8",
+        )
+        assert self.decode(corpus, "--mode", "transducer") == 3
+        assert self.errors(caplog) == [
+            f"u1: FormatError: {align}:1: score must be a finite number"
+        ]
+        assert read_rows(corpus / "out.jsonl") == []
+
+    def test_graph_cut_inside_its_header(self, corpus, caplog):
+        graph = corpus / "ctx.graph"
+        graph.write_bytes(graph.read_bytes()[:_G_HEADER.size - 1])
+        assert self.decode(corpus) == 2
+        assert self.errors(caplog) == [f"{graph}: truncated header"]
+        assert not (corpus / "out.jsonl").exists()
+
+    def test_empty_canonical_in_the_entry_table(self, corpus, caplog):
+        graph = corpus / "ctx.graph"
+        raw = graph.read_bytes()
+        entry = struct.pack("<I", 2) + b"ab"
+        assert raw.endswith(entry)
+        graph.write_bytes(raw[:-len(entry)] + struct.pack("<I", 0))
+        assert self.decode(corpus) == 2
+        assert self.errors(caplog) == [f"{graph}: entry 0 is empty"]
+        assert not (corpus / "out.jsonl").exists()
+
+    def test_eval_warns_about_skipped_utterances(self, corpus, caplog, capsys):
+        (corpus / "out.jsonl").write_text('{"id": "u1", "merged_text": "ab"}\n',
+                                          encoding="utf-8")
+        code = main(["eval", "--results", str(corpus / "out.jsonl"),
+                     "--manifest", str(corpus / "manifest.jsonl"),
+                     "--context-list", str(corpus / "ctx.txt")])
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipping 1 utterances without reference text or results"]
+        assert json.loads(capsys.readouterr().out)["num_utterances"] == 1
+
+    def test_mine_list_without_a_usable_utterance(self, corpus, caplog):
+        # u1 has no reference text and u2's matrix is unreadable
+        (corpus / "manifest.jsonl").write_text(
+            json.dumps({"id": "u1", "logprobs": "u1.bin"}) + "\n"
+            + json.dumps({"id": "u2", "logprobs": "u2.bin", "text": "a"}) + "\n",
+            encoding="utf-8",
+        )
+        (corpus / "u2.bin").write_bytes(b"not a matrix at all")
+        out = corpus / "mined.txt"
+        code = main(["mine-list", *args_vocab(corpus),
+                     "--manifest", str(corpus / "manifest.jsonl"), "--output", str(out)])
+        assert code == 2
+        assert self.errors(caplog) == [
+            "no utterance had both reference text and a readable matrix"
+        ]
+        assert not out.exists()
+
+
+def test_blank_id_zero_runs_every_command(corpus, capsys):
+    # the fixture's corpus with the blank moved to line 0 of the vocabulary
+    # and to column 0 of each matrix; the last line, the space, is no blank
+    (corpus / "vocab.txt").write_text("<b>\na\nb\n \n", encoding="utf-8")
+    for name in ("u1.bin", "u2.bin"):
+        lp = load_logprobs(str(corpus / name))
+        moved = LogProbMatrix(values=lp.values[:, [3, 0, 1, 2]], normalized=True)
+        write_logprobs(moved, str(corpus / name))
+    blank = ["--blank-id", "0"]
+    manifest = ["--manifest", str(corpus / "manifest.jsonl")]
+    graph = corpus / "blank0.graph"
+    assert main(["build-graph", *args_vocab(corpus), *blank, "--output", str(graph),
+                 "--context-list", str(corpus / "ctx.txt")]) == 0
+    out = corpus / "out.jsonl"
+    assert main(["decode", *args_vocab(corpus), *blank, *manifest, "--graph", str(graph),
+                 "--output", str(out)]) == 0
+    rows = read_rows(out)
+    assert [r["greedy_text"] for r in rows] == ["bb", "a"]
+    assert [r["merged_text"] for r in rows] == ["ab", "a"]
+    mined = corpus / "mined.txt"
+    assert main(["mine-list", *args_vocab(corpus), *blank, *manifest,
+                 "--output", str(mined), "--min-len", "2"]) == 0
+    assert mined.read_text().splitlines() == ["ab"]
 
 
 class TestOutputReplacedOnlyWhenComplete:

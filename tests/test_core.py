@@ -72,6 +72,10 @@ class TestLogProbMatrix:
         with pytest.raises(InvalidValueError):
             LogProbMatrix(values=np.zeros(4, dtype=np.float32))
 
+    def test_rejects_zero_vocabulary_width(self):
+        with pytest.raises(InvalidValueError, match="zero vocabulary width"):
+            LogProbMatrix(values=np.zeros((3, 0), dtype=np.float32))
+
     def test_normalized_flag_checked(self):
         bad = np.log(np.array([[0.5, 0.2]], dtype=np.float32))
         with pytest.raises(InvalidValueError):
@@ -175,7 +179,6 @@ class TestSpotterConfig:
         assert math.isclose(cfg.beta_thr, math.log(0.80))
         assert math.isclose(cfg.gamma_thr, math.log(0.001))
         assert cfg.beam_thr == 7.0
-        assert cfg.pruning_enabled
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -218,9 +221,15 @@ class TestVocabularyFile:
         assert v.space_id == 2
 
     def test_blank_override(self, tmp_path):
+        # the file's blank is its last token; another blank is a new Vocabulary
+        # over the same tokens, as the CLI's --blank-id builds it
         p = tmp_path / "vocab.txt"
         p.write_text("<b>\na\nb\n", encoding="utf-8")
-        assert load_vocabulary(str(p), blank_id=0).blank_id == 0
+        v = load_vocabulary(str(p))
+        assert v.blank_id == 2
+        override = Vocabulary(v.tokens, 0)
+        assert override.tokens == ("<b>", "a", "b")
+        assert override.blank_id == 0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "vocab.txt"

@@ -155,6 +155,10 @@ class TestTokenize:
         with pytest.raises(UnsegmentableError):
             tokenize("a b", vocab)
 
+    def test_whitespace_only_is_unsegmentable(self):
+        with pytest.raises(UnsegmentableError, match="nothing to tokenize"):
+            tokenize("   ", char_vocab("ab"))
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_exhaustive_minimum(self, seed):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from ctcspot import (
 )
 from oracle import best_path_score
 
-EXHAUSTIVE = SpotterConfig(pruning_enabled=False)
+# every threshold off: no frame skipped, every first token admitted, no beam
+EXHAUSTIVE = SpotterConfig(beta_thr=0.0, gamma_thr=-math.inf, beam_thr=math.inf)
 
 
 def probs_matrix(rows: list[list[float]]) -> LogProbMatrix:
@@ -67,7 +69,7 @@ class TestAgainstOracle:
             entries = [BiasingEntry(canonical="w0", transcriptions=((1,),))]
         graph = build_graph(entries, blank_id=0)
 
-        cfg = SpotterConfig(pruning_enabled=False, cb_w=cb_w)
+        cfg = replace(EXHAUSTIVE, cb_w=cb_w)
         got = {
             (c.entry_id, c.start_frame, c.end_frame): c.score for c in spot(lp, graph, cfg)
         }
@@ -214,7 +216,7 @@ class TestPruning:
         cfg = SpotterConfig(cb_w=0.0)
         pruned = [(c.start_frame, c.end_frame) for c in spot(lp, graph, cfg)]
         assert pruned == [(0, 2)]
-        full = spot(lp, graph, SpotterConfig(cb_w=0.0, pruning_enabled=False))
+        full = spot(lp, graph, replace(EXHAUSTIVE, cb_w=0.0))
         assert [(c.start_frame, c.end_frame) for c in full] == [(0, 2), (1, 2)]
 
     def test_deterministic(self):
@@ -228,12 +230,11 @@ class TestPruning:
 def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -> list[tuple]:
     """The documented rule, written plainly: every move scoring at least
     -beam_thr is offered to state merging (best score, ties to the earlier
-    start), then the frame's states are filtered by the beam."""
+    start; states that started on different frames stay apart when the beam
+    is infinite), then the frame's states are filtered by the beam."""
     token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
     blank = graph.blank_id
-    pruning = cfg.pruning_enabled
-    floor = -cfg.beam_thr if pruning else -math.inf
-    gamma = cfg.gamma_thr if pruning else -math.inf
+    keep_starts = math.isinf(cfg.beam_thr)
 
     def children(node: int) -> range:
         return range(first_child[node], first_child[node + 1])
@@ -242,9 +243,9 @@ def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -
     active: dict[tuple, tuple[float, int]] = {}
     for t, row in enumerate(lp.values.tolist()):
         moves = []  # (node, blank_seen, score, start)
-        if not (pruning and row[blank] > cfg.beta_thr):
+        if not row[blank] > cfg.beta_thr:
             for child in children(0):
-                if row[token_ids[child]] >= gamma:
+                if row[token_ids[child]] >= cfg.gamma_thr:
                     moves.append((child, False, row[token_ids[child]] + cfg.cb_w, t))
         for (node, seen, *_), (base, start) in active.items():
             moves.append((node, True, base + row[blank], start))
@@ -261,15 +262,13 @@ def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -
             if not seen and entry >= 0 and score > -math.inf:
                 key = (entry, start, t)
                 spotted[key] = max(score, spotted.get(key, -math.inf))
-            if score < floor:
+            if score < -cfg.beam_thr:
                 continue
-            key = (node, seen) if pruning else (node, seen, start)
+            key = (node, seen, start) if keep_starts else (node, seen)
             if key not in current or (-score, start) < (-current[key][0], current[key][1]):
                 current[key] = (score, start)
-        if pruning:
-            cutoff = max([0.0] + [score for score, _ in current.values()]) - cfg.beam_thr
-            current = {k: v for k, v in current.items() if v[0] >= cutoff}
-        active = current
+        cutoff = max([0.0] + [score for score, _ in current.values()]) - cfg.beam_thr
+        active = {k: v for k, v in current.items() if v[0] >= cutoff}
     return sorted((s, e, entry, score) for (entry, s, e), score in spotted.items())
 
 
@@ -307,8 +306,7 @@ class TestAgainstReference:
             cb_w=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
             beta_thr=data.draw(st.sampled_from([math.log(0.8), -0.5, 0.0])),
             gamma_thr=data.draw(st.sampled_from([math.log(0.001), -2.0, -math.inf])),
-            beam_thr=data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0])),
-            pruning_enabled=data.draw(st.booleans()),
+            beam_thr=data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, math.inf])),
         )
         want = reference_spot(lp, graph, cfg)
         got = spot(lp, graph, cfg)
