@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .align import WordAlignment, greedy_ctc_align, load_transducer_alignment
+from .align import greedy_ctc_align, load_transducer_alignment
 from .alts import (
     WordCostDictionary,
     expand_entries,
@@ -48,8 +49,6 @@ logger = logging.getLogger("ctcspot")
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
-
-_DEFAULTS = SpotterConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,16 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ctc", "transducer"), default="ctc",
                    help="transcript source the candidates are spliced into")
     p.add_argument("--workers", type=int, default=1, help="parallel utterance workers")
-    p.add_argument("--cb-w", type=float, default=_DEFAULTS.cb_w,
-                   help="per-emission word bonus")
-    p.add_argument("--ctc-w", type=float, default=_DEFAULTS.ctc_w,
-                   help="weight on greedy word scores")
-    p.add_argument("--beta-thr", type=float, default=_DEFAULTS.beta_thr,
-                   help="log blank prob above which empty hypotheses skip the frame")
-    p.add_argument("--gamma-thr", type=float, default=_DEFAULTS.gamma_thr,
-                   help="log prob gate on a word's first token")
-    p.add_argument("--beam-thr", type=float, default=_DEFAULTS.beam_thr,
-                   help="beam width below the frame-best score (finite)")
+    for f in dataclasses.fields(SpotterConfig):  # the search flags
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
+                       help=f.metadata["help"])
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score decode results against manifest references")
@@ -194,74 +186,66 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if dropped else 0
 
 
-_WORK: dict = {}  # per-process decode state, set once by _init_worker
+_WORK: tuple = ()  # (vocab, graph, cfg, mode) of this process, set by _init_worker
 
 
 def _init_worker(vocab: Vocabulary, graph: ContextGraph, cfg: SpotterConfig, mode: str) -> None:
-    _WORK["vocab"] = vocab
-    _WORK["graph"] = graph
-    _WORK["cfg"] = cfg
-    _WORK["mode"] = mode
+    global _WORK
+    _WORK = (vocab, graph, cfg, mode)
 
 
-def _decode_task(record: UtteranceRecord):
-    try:
-        row, elapsed = _decode_utterance(
-            record, _WORK["vocab"], _WORK["graph"], _WORK["cfg"], _WORK["mode"]
-        )
-        return row, elapsed, None
-    except Exception as exc:  # one bad utterance must not kill the batch
-        return None, 0.0, f"{record.utterance_id}: {type(exc).__name__}: {exc}"
+def _failure(record: UtteranceRecord, exc: Exception) -> str:
+    """The log line naming a failed utterance and why it failed."""
+    return f"{record.utterance_id}: {type(exc).__name__}: {exc}"
 
 
-def _decode_utterance(
-    record: UtteranceRecord,
-    vocab: Vocabulary,
-    graph: ContextGraph,
-    cfg: SpotterConfig,
-    mode: str,
-) -> tuple[str, float]:
-    """Run the pipeline on one utterance; returns (JSON row, decode seconds).
+def _decode_task(record: UtteranceRecord) -> tuple[str | None, float, str | None]:
+    """Run the pipeline on one utterance: (JSON row, decode seconds, None),
+    or (None, 0.0, failure line) when it fails.
 
     The timer covers alignment, which checks the matrix width before the
     search, spotting, and merging; file loads stay outside it.
     """
-    lp = load_logprobs(record.logprob_path)
-    transducer: WordAlignment | None = None
-    if mode == "transducer":
-        if not record.transducer_alignment_path:
-            raise InvalidValueError("transducer mode needs a transducer_alignment path")
-        transducer = load_transducer_alignment(record.transducer_alignment_path)
+    vocab, graph, cfg, mode = _WORK
+    try:
+        lp = load_logprobs(record.logprob_path)
+        transducer = None
+        if mode == "transducer":
+            if not record.transducer_alignment_path:
+                raise InvalidValueError("transducer mode needs a transducer_alignment path")
+            transducer = load_transducer_alignment(record.transducer_alignment_path)
 
-    t0 = time.perf_counter()
-    greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
-    candidates = find_best_hyps(spot(lp, graph, cfg))
-    blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
-    if transducer is not None:
-        result = merge_transducer(transducer, greedy, candidates, blank_scores)
-    else:
-        result = merge_ctc(greedy, candidates, blank_scores)
-    elapsed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
+        candidates = find_best_hyps(spot(lp, graph, cfg))
+        blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
+        if transducer is not None:
+            result = merge_transducer(transducer, greedy, candidates, blank_scores)
+        else:
+            result = merge_ctc(greedy, candidates, blank_scores)
+        elapsed = time.perf_counter() - t0
 
-    row: dict = {"id": record.utterance_id, "greedy_text": greedy.text}
-    if transducer is not None:
-        row["transducer_text"] = transducer.text
-    row["merged_text"] = result.text
-    row["candidates"] = [
-        {
-            "word": d.candidate.word,
-            "start_frame": d.candidate.start_frame,
-            "end_frame": d.candidate.end_frame,
-            "score": d.candidate.score,
-            "accepted": d.accepted,
-            # null: the threshold is -inf, because a greedy word or blank frame
-            # it was judged against has zero probability
-            "greedy_score_sum": None if math.isinf(d.greedy_score_sum) else d.greedy_score_sum,
-            "overlapped_words": [w.word for w in d.overlapped_words],
-        }
-        for d in result.decisions
-    ]
-    return json.dumps(row, ensure_ascii=False), elapsed
+        row: dict = {"id": record.utterance_id, "greedy_text": greedy.text}
+        if transducer is not None:
+            row["transducer_text"] = transducer.text
+        row["merged_text"] = result.text
+        row["candidates"] = [
+            {
+                "word": d.candidate.word,
+                "start_frame": d.candidate.start_frame,
+                "end_frame": d.candidate.end_frame,
+                "score": d.candidate.score,
+                "accepted": d.accepted,
+                # null: the threshold is -inf, because a greedy word or blank frame
+                # it was judged against has zero probability
+                "greedy_score_sum": None if math.isinf(d.greedy_score_sum) else d.greedy_score_sum,
+                "overlapped_words": [w.word for w in d.overlapped_words],
+            }
+            for d in result.decisions
+        ]
+        return json.dumps(row, ensure_ascii=False), elapsed, None
+    except Exception as exc:  # one bad utterance must not kill the batch
+        return None, 0.0, _failure(record, exc)
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -269,11 +253,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = SpotterConfig(
-            cb_w=args.cb_w,
-            ctc_w=args.ctc_w,
-            beta_thr=args.beta_thr,
-            gamma_thr=args.gamma_thr,
-            beam_thr=args.beam_thr,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(SpotterConfig)}
         )
     except InvalidValueError as exc:
         raise _UsageError(exc) from None
@@ -286,8 +266,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     # a pool starts all its processes at the first task: no more than there are utterances
     workers = min(args.workers, len(records))
 
-    failures: list[str] = []
-    done = 0
+    failed = done = 0
     total_seconds = 0.0
     with contextlib.ExitStack() as stack:
         tmp = stack.enter_context(_replace_on_success(args.output))
@@ -309,7 +288,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         # map and pool.map both yield results in manifest order
         for row, elapsed, error in results:
             if error is not None:
-                failures.append(error)
+                logger.error("%s", error)
+                failed += 1
             else:
                 out.write(row + "\n")
                 done += 1
@@ -322,9 +302,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         fh.write("\n")
     print(f"decoded {done}/{len(records)} utterances in {total_seconds:.3f} s "
           "(spotting and merging; file loads excluded)")
-    for msg in failures:
-        logger.error("%s", msg)
-    return EXIT_PARTIAL if failures else 0
+    return EXIT_PARTIAL if failed else 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -337,16 +315,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         hyps[row["id"]] = row["merged_text"]
 
     pairs: list[tuple[str, str]] = []
-    unscored = 0
-    for record in load_manifest(args.manifest):
-        if record.text is None or record.utterance_id not in hyps:
-            unscored += 1
-            continue
-        pairs.append((record.text, hyps[record.utterance_id]))
+    records = load_manifest(args.manifest)
+    for record in records:
+        if record.text is not None and record.utterance_id in hyps:
+            pairs.append((record.text, hyps[record.utterance_id]))
     if not pairs:
         raise InvalidValueError("nothing to score: no manifest row has both text and a result")
-    if unscored:
-        logger.warning("skipping %d utterances without reference text or results", unscored)
+    if len(pairs) < len(records):
+        logger.warning("skipping %d utterances without reference text or results",
+                       len(records) - len(pairs))
+    stray = len(hyps.keys() - {record.utterance_id for record in records})
+    if stray:
+        logger.warning("skipping %d results with no manifest row", stray)
 
     biasing = [c for c, _ in load_context_list(args.context_list)]
     decode_seconds = 0.0
@@ -357,14 +337,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if decode_seconds is None:
                 raise InvalidValueError(f"{where}: 'decode_seconds' must be a finite number")
 
-    report = evaluate(pairs, biasing, decode_seconds=decode_seconds)
-    payload = json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n"
+    report = evaluate(pairs, biasing)
+    payload = json.dumps({**report.as_dict(), "decode_seconds": decode_seconds},
+                         ensure_ascii=False, indent=2) + "\n"
     if args.output:
         with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
         print(f"wer {report.wer:.2f}  fscore {report.fscore:.4f} "
               f"({report.precision:.4f}/{report.recall:.4f})  "
-              f"decode_seconds {report.decode_seconds:.3f} -> {args.output}")
+              f"decode_seconds {decode_seconds:.3f} -> {args.output}")
     else:
         sys.stdout.write(payload)
     return 0
@@ -380,7 +361,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
     if not records:
         raise InvalidValueError(f"{args.manifest}: empty manifest")
     pairs: list[tuple[str, str]] = []
-    failures: list[str] = []
+    failed = 0
     for record in records:
         try:
             if record.text is None:
@@ -388,7 +369,8 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
             lp = load_logprobs(record.logprob_path)
             pairs.append((record.text, greedy_ctc_align(lp, vocab).text))
         except Exception as exc:
-            failures.append(f"{record.utterance_id}: {type(exc).__name__}: {exc}")
+            logger.error("%s", _failure(record, exc))
+            failed += 1
     if not pairs:
         raise InvalidValueError("no utterance had both reference text and a readable matrix")
     mined = mine_biasing_list(pairs, min_len=args.min_len, max_accuracy=args.max_acc)
@@ -396,9 +378,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
         for term, _, _ in mined:
             fh.write(term + "\n")
     print(f"mined {len(mined)} terms from {len(pairs)} utterances -> {args.output}")
-    for msg in failures:
-        logger.error("%s", msg)
-    return EXIT_PARTIAL if failures else 0
+    return EXIT_PARTIAL if failed else 0
 
 
 def cmd_gen_alts(args: argparse.Namespace) -> int:

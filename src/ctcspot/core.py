@@ -6,7 +6,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator
 
@@ -132,19 +132,23 @@ class SpotterConfig:
     Infinite thresholds stay legal: gamma_thr=-inf admits every first token
     and beam_thr=inf keeps every hypothesis apart, so
     SpotterConfig(beta_thr=0.0, gamma_thr=-inf, beam_thr=inf) is the
-    exhaustive search (no memory bound).
+    exhaustive search (no memory bound).  Each field is also a `decode`
+    flag, --<field-with-dashes>, whose help is the field's metadata.
     """
 
-    cb_w: float = 3.0  # per-emission bonus for non-blank moves through the graph
-    ctc_w: float = 0.5  # weight on greedy word scores when merging
-    beta_thr: float = math.log(0.80)  # blank skip: empty hyps sit out frames above this
-    gamma_thr: float = math.log(0.001)  # admission gate on a word's first token
-    beam_thr: float = 7.0  # beam width below the per-frame best score
+    cb_w: float = field(default=3.0, metadata={"help": "per-emission word bonus"})
+    ctc_w: float = field(default=0.5, metadata={"help": "weight on greedy word scores"})
+    beta_thr: float = field(default=math.log(0.80), metadata={
+        "help": "log blank prob above which empty hypotheses skip the frame"})
+    gamma_thr: float = field(default=math.log(0.001), metadata={
+        "help": "log prob gate on a word's first token"})
+    beam_thr: float = field(default=7.0, metadata={
+        "help": "beam width below the frame-best score (finite)"})
 
     def __post_init__(self) -> None:
-        for name in ("cb_w", "ctc_w", "beta_thr", "gamma_thr", "beam_thr"):
-            if math.isnan(getattr(self, name)):
-                raise InvalidValueError(f"{name} must not be NaN")
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise InvalidValueError(f"{f.name} must not be NaN")
         if math.isinf(self.cb_w) or math.isinf(self.ctc_w):
             raise InvalidValueError("cb_w and ctc_w must be finite")
         if self.ctc_w <= 0:

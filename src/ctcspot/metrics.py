@@ -167,7 +167,6 @@ class EvalReport:
     per_word: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     num_utterances: int = 0
     num_ref_words: int = 0
-    decode_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -177,7 +176,6 @@ class EvalReport:
             "fscore": self.fscore,
             "num_utterances": self.num_utterances,
             "num_ref_words": self.num_ref_words,
-            "decode_seconds": self.decode_seconds,
             "per_word": {w: dict(row) for w, row in sorted(self.per_word.items())},
         }
 
@@ -185,7 +183,6 @@ class EvalReport:
 def evaluate(
     pairs: Sequence[tuple[str, str]],
     biasing_words: Iterable[str],
-    decode_seconds: float = 0.0,
 ) -> EvalReport:
     """Score a corpus of (reference, hypothesis) text pairs.
 
@@ -218,7 +215,6 @@ def evaluate(
         per_word=per_word,
         num_utterances=len(pairs),
         num_ref_words=num_ref_words,
-        decode_seconds=decode_seconds,
     )
 
 

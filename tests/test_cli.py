@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
 import re
 import struct
 import subprocess
@@ -217,6 +219,17 @@ class TestDecode:
         assert chunksizes == [3]
         assert outputs["1"].read_bytes() == outputs["2"].read_bytes()
 
+    def test_spawned_workers_give_the_serial_bytes(self, corpus, monkeypatch):
+        # a spawned worker starts from a fresh interpreter, so the decode state
+        # reaches it only through the pool initializer (the default start method
+        # on macOS, and forkserver on Linux from Python 3.14, behave the same way)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        _, serial = self.decode(corpus, "w1.jsonl")
+        code, spawned = self.decode(corpus, "w2.jsonl", extra=["--workers", "2"])
+        assert code == 0
+        assert spawned.read_bytes() == serial.read_bytes()
+
     def test_transducer_mode(self, corpus):
         align = corpus / "u1.align.jsonl"
         align.write_text(
@@ -426,7 +439,8 @@ class TestEval:
         assert report["num_utterances"] == 2
         assert report["num_ref_words"] == 2
         assert report["per_word"] == {"ab": {"tp": 1, "fp": 0, "fn": 0}}
-        assert report["decode_seconds"] >= 0.0
+        meta = json.loads((corpus / "out.jsonl.meta.json").read_text())
+        assert report["decode_seconds"] == meta["decode_seconds"]
         assert "wer 0.00" in capsys.readouterr().out
 
     def test_report_to_stdout(self, corpus, capsys):
@@ -862,6 +876,21 @@ class TestRareBadInputs:
         assert warnings == ["skipping 1 utterances without reference text or results"]
         assert json.loads(capsys.readouterr().out)["num_utterances"] == 1
 
+    def test_eval_warns_about_results_with_no_manifest_row(self, corpus, caplog, capsys):
+        (corpus / "out.jsonl").write_text(
+            '{"id": "u1", "merged_text": "ab"}\n{"id": "u2", "merged_text": "a"}\n'
+            '{"id": "not-in-manifest", "merged_text": "ab"}\n',
+            encoding="utf-8",
+        )
+        code = main(["eval", "--results", str(corpus / "out.jsonl"),
+                     "--manifest", str(corpus / "manifest.jsonl"),
+                     "--context-list", str(corpus / "ctx.txt")])
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipping 1 results with no manifest row"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["num_utterances"] == 2 and report["fscore"] == 1.0
+
     def test_mine_list_without_a_usable_utterance(self, corpus, caplog):
         # u1 has no reference text and u2's matrix is unreadable
         (corpus / "manifest.jsonl").write_text(
@@ -875,7 +904,9 @@ class TestRareBadInputs:
                      "--manifest", str(corpus / "manifest.jsonl"), "--output", str(out)])
         assert code == 2
         assert self.errors(caplog) == [
-            "no utterance had both reference text and a readable matrix"
+            "u1: InvalidValueError: no reference text",
+            f"u2: FormatError: {corpus / 'u2.bin'}: not a CTCL matrix file",
+            "no utterance had both reference text and a readable matrix",
         ]
         assert not out.exists()
 

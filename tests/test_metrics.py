@@ -188,10 +188,6 @@ class TestEvaluate:
         keys = list(report.as_dict()["per_word"].keys())
         assert keys == sorted(keys)
 
-    def test_decode_seconds_passthrough(self):
-        report = evaluate([("a", "a")], [], decode_seconds=1.25)
-        assert report.as_dict()["decode_seconds"] == 1.25
-
 
 class TestMineBiasingList:
     def test_repeated_misses_rank_first(self):
