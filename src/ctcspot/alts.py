@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Vocabulary, read_text
+from .core import Vocabulary, canonical_form, read_text
 from .errors import InvalidValueError, UnsegmentableError
 from .graph import BiasingEntry, tokenize
 
@@ -56,16 +56,13 @@ class WordCostDictionary:
 
 
 def load_wordlist(path: str) -> WordCostDictionary:
-    """Read a frequency-ranked word list (one word per line, best first)."""
-    words: list[str] = []
-    seen: set[str] = set()
-    for line in read_text(path).split("\n"):
-        word = line.strip().lower()
-        if not word or word in seen:
-            continue
-        seen.add(word)
-        words.append(word)
-    return WordCostDictionary(words=tuple(words))
+    """Read a frequency-ranked word list (one word per line, best first).
+
+    Words are taken in canonical_form; blank lines are skipped and a repeated
+    word keeps its first rank.
+    """
+    words = dict.fromkeys(map(canonical_form, read_text(path).split("\n")))
+    return WordCostDictionary(words=tuple(w for w in words if w))
 
 
 def abbreviation_variant(word: str) -> str | None:
@@ -114,7 +111,7 @@ def spelling_variants(
 ) -> list[str]:
     """Every spelling of a word, in order: the word itself, its abbreviation
     split, its compound split (when a dictionary is given), then the manual
-    spellings.  Manual spellings are trimmed and lowercased; empty and
+    spellings.  Manual spellings are taken in canonical_form; empty and
     repeated strings are dropped, first occurrence wins.
     """
     variants: list[str | None] = [word]
@@ -122,7 +119,7 @@ def spelling_variants(
         variants.append(abbreviation_variant(word))
         if dictionary is not None:
             variants.append(compound_split(word, dictionary))
-    variants.extend(alt.strip().lower() for alt in manual)
+    variants.extend(map(canonical_form, manual))
     return [v for v in dict.fromkeys(variants) if v]
 
 
@@ -135,39 +132,28 @@ def expand_entries(
 ) -> list[BiasingEntry]:
     """Build biasing entries with every usable transcription variant.
 
-    Variants per word are spelling_variants' list.  Variants that fail to
-    tokenize are skipped with a warning; a word whose primary spelling
-    fails drops the whole entry.  Duplicate words and duplicate token
-    sequences are dropped, first occurrence wins.
+    Words are taken in canonical_form; empty and repeated words are dropped,
+    first occurrence wins.  A word's variants are spelling_variants' list,
+    tokenized primary spelling first: a word whose primary spelling fails to
+    tokenize drops the whole entry, any other variant that fails is skipped,
+    each with a warning.  BiasingEntry drops repeated token sequences.
     """
     manual = manual_alts or {}
     entries: list[BiasingEntry] = []
-    done: set[str] = set()
-    for raw in words:
-        word = raw.strip().lower()
-        if not word or word in done:
+    for word in dict.fromkeys(map(canonical_form, words)):
+        if not word:
             continue
-        done.add(word)
-        variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
-
-        transcriptions: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        dropped = False
-        for k, variant in enumerate(variants):
+        primary, *others = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
+        try:
+            transcriptions = [tokenize(primary, vocab)]
+        except UnsegmentableError as exc:
+            logger.warning("dropping entry %r: %s", word, exc)
+            continue
+        for variant in others:
             try:
-                seq = tuple(tokenize(variant, vocab))
+                transcriptions.append(tokenize(variant, vocab))
             except UnsegmentableError as exc:
-                if k == 0:
-                    logger.warning("dropping entry %r: %s", word, exc)
-                    dropped = True
-                    break
                 logger.warning("skipping variant %r of %r: %s", variant, word, exc)
-                continue
-            if seq not in seen:
-                seen.add(seq)
-                transcriptions.append(seq)
-        if dropped or not transcriptions:
-            continue
         entries.append(BiasingEntry(canonical=word, transcriptions=tuple(transcriptions)))
     return entries
 
@@ -175,19 +161,18 @@ def expand_entries(
 def load_context_list(path: str) -> list[tuple[str, tuple[str, ...]]]:
     """Read a context list: one entry per line, canonical[TAB alt_spelling]*.
 
-    Lines starting with '#' and blank lines are skipped.  Everything is
-    lowercased and trimmed.  Returns one (word, alternatives) pair per
-    distinct word in first-seen order; a word on several rows keeps the
-    alternatives of every row, in row order.
+    Lines starting with '#' and lines with an empty first field are skipped.
+    Every field is taken in canonical_form: lowercased, runs of whitespace
+    read as one space.  Returns one (word, alternatives) pair per distinct
+    word in first-seen order; a word on several rows keeps the alternatives
+    of every row, in row order.
     """
     alts: dict[str, list[str]] = {}
     for line in read_text(path).split("\n"):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if line.lstrip().startswith("#"):
             continue
-        parts = [p.strip().lower() for p in line.split("\t")]
-        canonical = parts[0]
-        if not canonical:
-            continue
-        alts.setdefault(canonical, []).extend(p for p in parts[1:] if p)
+        canonical, *others = map(canonical_form, line.split("\t"))
+        if canonical:
+            alts.setdefault(canonical, []).extend(p for p in others if p)
     return [(w, tuple(a)) for w, a in alts.items()]
 

@@ -169,6 +169,12 @@ class UtteranceRecord:
     transducer_alignment_path: str | None = None
 
 
+def canonical_form(text: str) -> str:
+    """A biasing word as the graph stores it, decode writes it and eval counts
+    it: lowercased, with every run of whitespace read as one space."""
+    return " ".join(text.lower().split())
+
+
 def read_text(path: str) -> str:
     """Contents of a UTF-8 text file, newlines translated as text mode does.
 

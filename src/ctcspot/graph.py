@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOUNDARY_MARKER, Vocabulary
+from .core import BOUNDARY_MARKER, Vocabulary, canonical_form
 from .errors import FormatError, InvalidValueError, UnsegmentableError, VocabularyMismatchError
 
 logger = logging.getLogger(__name__)
@@ -29,21 +29,22 @@ _G_INT = np.dtype("<i4")
 
 @dataclass(frozen=True)
 class BiasingEntry:
-    """A word or phrase to bias toward, with its token-id transcriptions.
+    """A word or phrase to bias toward, with its distinct token-id transcriptions.
 
-    The first transcription is the primary spelling; the rest are
-    alternative pronunciations/splits.  Token ids never include the blank.
+    The canonical is kept in canonical_form.  The first transcription is the
+    primary spelling; the rest are alternative pronunciations/splits, and a
+    repeated one is dropped (first wins).  Token ids never include the blank.
     """
 
     canonical: str
     transcriptions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canonical = self.canonical.strip().lower()
+        canonical = canonical_form(self.canonical)
         if not canonical:
             raise InvalidValueError("biasing entry has an empty canonical form")
         object.__setattr__(self, "canonical", canonical)
-        trans = tuple(tuple(int(t) for t in seq) for seq in self.transcriptions)
+        trans = tuple(dict.fromkeys(tuple(int(t) for t in seq) for seq in self.transcriptions))
         if not trans or any(not seq for seq in trans):
             raise InvalidValueError(f"{canonical!r}: transcriptions must be non-empty")
         if any(t < 0 for seq in trans for t in seq):

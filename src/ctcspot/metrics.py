@@ -6,6 +6,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .core import canonical_form
 from .errors import InvalidValueError
 
 logger = logging.getLogger(__name__)
@@ -186,35 +187,31 @@ def evaluate(
 ) -> EvalReport:
     """Score a corpus of (reference, hypothesis) text pairs.
 
-    WER runs on raw words; precision/recall for the biasing list run on
-    phrase-fused words so a multi-word entry counts once.
+    WER runs on raw words.  Precision/recall count the biasing words, taken
+    in canonical_form, over every pair's phrase-fused words, so a multi-word
+    entry counts once.
     """
-    targets = [w.strip().lower() for w in biasing_words if w.strip()]
-    corpus_wer = wer(pairs)
-    per_word: dict[str, dict[str, int]] = {}
-    num_ref_words = 0
-    for ref_text, hyp_text in pairs:
-        ref = ref_text.split()
-        hyp = hyp_text.split()
-        num_ref_words += len(ref)
-        ops = align_words(fuse_phrases(ref, targets), fuse_phrases(hyp, targets))
-        for word, row in score_context_words(ops, targets).items():
-            agg = per_word.setdefault(word, {"tp": 0, "fp": 0, "fn": 0})
-            for key, value in row.items():
-                agg[key] += value
+    targets = [w for w in map(canonical_form, biasing_words) if w]
+
+    def fused(text: str) -> list[str]:
+        return fuse_phrases(text.split(), targets)
+
+    per_word = score_context_words(
+        (op for ref, hyp in pairs for op in align_words(fused(ref), fused(hyp))), targets
+    )
     tp = sum(row["tp"] for row in per_word.values())
     fp = sum(row["fp"] for row in per_word.values())
     fn = sum(row["fn"] for row in per_word.values())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return EvalReport(
-        wer=corpus_wer,
+        wer=wer(pairs),
         precision=precision,
         recall=recall,
         fscore=fscore(precision, recall),
         per_word=per_word,
         num_utterances=len(pairs),
-        num_ref_words=num_ref_words,
+        num_ref_words=sum(len(ref.split()) for ref, _ in pairs),
     )
 
 

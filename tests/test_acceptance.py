@@ -203,7 +203,8 @@ def test_criterion_04_word_bonus_recovers_a_split_word(criterion):
         assert entries[0].transcriptions == ((0, 1, 2), (0, 3, 4))
         graph = build_graph(entries, blank_id=vocab.blank_id)
 
-        greedy, _, biased = _pipeline(lp, graph, vocab, SpotterConfig())
+        cfg = SpotterConfig()
+        greedy, _, biased = _pipeline(lp, graph, vocab, cfg)
         assert greedy.text == "the g p u"
         assert biased.text == "the gpu"
         accepted = [d for d in biased.decisions if d.accepted]
@@ -213,7 +214,7 @@ def test_criterion_04_word_bonus_recovers_a_split_word(criterion):
         oracle = max(
             s
             for s in (
-                best_path_score(lp, (6, 15), labels, 3.0, vocab.blank_id)
+                best_path_score(lp, (6, 15), labels, cfg.cb_w, vocab.blank_id)
                 for labels in entries[0].transcriptions
             )
             if s is not None

@@ -117,7 +117,7 @@ class TestCompoundSplit:
 
 class TestSpellingVariants:
     def test_order_and_duplicates(self, dictionary):
-        got = spelling_variants("gpu", dictionary, [" G P U", "gpu", "jeepu", ""], True)
+        got = spelling_variants("gpu", dictionary, [" G P U", "gpu", "jeepu", "", "G  P  U"], True)
         assert got == ["gpu", "g p u", "jeepu"]
 
     def test_auto_alts_disabled_keeps_manual(self, dictionary):
@@ -209,13 +209,16 @@ class TestListFiles:
     def test_context_list_merges_repeated_rows(self, tmp_path):
         path = tmp_path / "ctx.txt"
         path.write_text(
-            "# word TAB alt\ncloud\ngpu\tg p u\nrtx\nGPU\tgee pee you\ncloud\ngpu\n",
+            "# word TAB alt\ncloud\ngpu\tg p u\nrtx\nGPU\tgee pee you\ncloud\ngpu\n"
+            "GeForce  RTX\tgee  force\ngeforce rtx\n",
             encoding="utf-8",
         )
         # one pair per word in first-seen order; a repeated word's alternatives
-        # accumulate in row order, and a repeated row without any adds none
+        # accumulate in row order, and a repeated row without any adds none;
+        # a run of whitespace inside a field reads as one space
         assert load_context_list(str(path)) == [
             ("cloud", ()),
             ("gpu", ("g p u", "gee pee you")),
             ("rtx", ()),
+            ("geforce rtx", ("gee force",)),
         ]

@@ -936,6 +936,32 @@ def test_blank_id_zero_runs_every_command(corpus, capsys):
     assert mined.read_text().splitlines() == ["ab"]
 
 
+def test_whitespace_run_in_a_context_list_line_reads_as_one_space(corpus, capsys):
+    # columns: a, b, space, blank; greedy reads "ab a", and the phrase entry replaces both words
+    rows = [[0.90, 0.03, 0.03, 0.04], [0.03, 0.90, 0.03, 0.04], [0.03, 0.03, 0.04, 0.90],
+            [0.03, 0.03, 0.90, 0.04], [0.90, 0.03, 0.03, 0.04], [0.03, 0.03, 0.04, 0.90]]
+    values = log_softmax_rows(np.log(np.array(rows)))
+    write_logprobs(LogProbMatrix(values=values, normalized=True), str(corpus / "p.bin"))
+    manifest = corpus / "p.jsonl"
+    manifest.write_text(json.dumps({"id": "p", "logprobs": "p.bin", "text": "ab a"}) + "\n",
+                        encoding="utf-8")
+    for name, line in (("single", "ab a"), ("double", "ab  a")):
+        (corpus / f"{name}.txt").write_text(line + "\n", encoding="utf-8")
+        assert main(["build-graph", *args_vocab(corpus), "--context-list",
+                     str(corpus / f"{name}.txt"), "--output", str(corpus / f"{name}.graph")]) == 0
+    assert (corpus / "double.graph").read_bytes() == (corpus / "single.graph").read_bytes()
+    out = corpus / "out.jsonl"
+    assert main(["decode", *args_vocab(corpus), "--manifest", str(manifest),
+                 "--graph", str(corpus / "double.graph"), "--output", str(out)]) == 0
+    [row] = read_rows(out)
+    assert [c["word"] for c in row["candidates"] if c["accepted"]] == ["ab a"]
+    assert row["merged_text"] == "ab a"
+    report = corpus / "report.json"
+    assert main(["eval", "--results", str(out), "--manifest", str(manifest),
+                 "--context-list", str(corpus / "double.txt"), "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["per_word"] == {"ab a": {"tp": 1, "fp": 0, "fn": 0}}
+
+
 class TestOutputReplacedOnlyWhenComplete:
     """A command failing while it writes leaves an earlier output as it was."""
 

@@ -36,6 +36,10 @@ class TestBiasingEntry:
     def test_normalizes_canonical(self):
         e = entry("  GPU ", [1, 2])
         assert e.canonical == "gpu"
+        assert entry(" GeForce \t RTX", [1]).canonical == "geforce rtx"
+
+    def test_drops_repeated_transcription(self):
+        assert entry("x", [1, 2], [3], [1, 2]).transcriptions == ((1, 2), (3,))
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidValueError):

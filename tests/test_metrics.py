@@ -178,6 +178,8 @@ class TestEvaluate:
     def test_biasing_words_normalized(self):
         report = evaluate([("gpu", "gpu")], ["  GPU  ", ""])
         assert report.per_word["gpu"]["tp"] == 1
+        report = evaluate([("buy geforce rtx now", "buy geforce  rtx now")], ["geforce  rtx"])
+        assert report.per_word == {"geforce rtx": {"tp": 1, "fp": 0, "fn": 0}}
 
     def test_no_biasing_hits_anywhere(self):
         report = evaluate([("a b", "a b")], ["gpu"])

@@ -97,8 +97,8 @@ class TestAgainstOracle:
         entries = [BiasingEntry(canonical="w", transcriptions=((1,), (1, 2)))]
         graph = build_graph(entries, blank_id=0)
         got = {(c.start_frame, c.end_frame): c.score for c in spot(lp, graph, EXHAUSTIVE)}
-        one = best_path_score(lp, (0, 1), [1], 3.0, 0)
-        two = best_path_score(lp, (0, 1), [1, 2], 3.0, 0)
+        one = best_path_score(lp, (0, 1), [1], EXHAUSTIVE.cb_w, 0)
+        two = best_path_score(lp, (0, 1), [1, 2], EXHAUSTIVE.cb_w, 0)
         assert got[(0, 1)] == pytest.approx(max(one, two))
 
     def test_repeated_label_needs_separating_blank(self):
@@ -106,7 +106,8 @@ class TestAgainstOracle:
         assert spot(one_hot_matrix([1, 1], width=2), graph, EXHAUSTIVE) == []
         cands = spot(one_hot_matrix([1, 0, 1], width=2), graph, EXHAUSTIVE)
         assert [(c.start_frame, c.end_frame) for c in cands] == [(0, 2)]
-        assert cands[0].score == pytest.approx(6.0)  # 0+3, blank 0, 0+3
+        # log 1 + cb_w, blank log 1, log 1 + cb_w
+        assert cands[0].score == pytest.approx(2 * EXHAUSTIVE.cb_w)
 
 
 class TestPruning:
@@ -497,7 +498,7 @@ class TestSpotterScores:
             (c.entry_id, c.start_frame, c.end_frame): c.score
             for c in spot(lp, graph, EXHAUSTIVE)
         }
-        unit = math.log(0.25) + 3.0
+        unit = math.log(0.25) + EXHAUSTIVE.cb_w
         assert got[(0, 0, 0)] == pytest.approx(unit)
         assert got[(1, 0, 1)] == pytest.approx(2 * unit)
         assert got[(2, 0, 2)] == pytest.approx(3 * unit)
