@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import DataError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
-from .merge import merge_ctc, merge_transducer
+from .merge import merge_transducer
 from .metrics import DEFAULT_MAX_ACCURACY, DEFAULT_MIN_TERM_LEN, evaluate, mine_biasing_list
 from .spotter import find_best_hyps, spot
 
@@ -219,10 +219,9 @@ def _decode_task(record: UtteranceRecord) -> tuple[str | None, float, str | None
         greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
         candidates = find_best_hyps(spot(lp, graph, cfg))
         blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
-        if transducer is not None:
-            result = merge_transducer(transducer, greedy, candidates, blank_scores)
-        else:
-            result = merge_ctc(greedy, candidates, blank_scores)
+        result = merge_transducer(
+            transducer if transducer is not None else greedy, greedy, candidates, blank_scores
+        )
         elapsed = time.perf_counter() - t0
 
         row: dict = {"id": record.utterance_id, "greedy_text": greedy.text}

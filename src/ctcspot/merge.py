@@ -39,15 +39,12 @@ def merge_ctc(
     candidates: Sequence[SpottedCandidate],
     blank_scores: Sequence[float],
 ) -> MergeResult:
-    """Accept each candidate iff it outscores the greedy words it overlaps.
+    """merge_transducer with the greedy CTC alignment on both sides.
 
-    Candidates (non-overlapping, e.g. find_best_hyps output) are processed
-    left to right against the current word list: an accepted candidate
-    removes every word its closed interval touches and takes their place.  A
-    candidate overlapping no words is compared against the blank mass of its
-    interval (`blank_scores`: per-frame ctc_w-weighted blank log-probs).
+    The frame check cannot fail here: a WordAlignment keeps every word
+    inside its own frames.
     """
-    return _result(alignment.words, _decide(alignment, candidates, blank_scores))
+    return merge_transducer(alignment, alignment, candidates, blank_scores)
 
 
 def merge_transducer(
@@ -56,11 +53,17 @@ def merge_transducer(
     candidates: Sequence[SpottedCandidate],
     blank_scores: Sequence[float],
 ) -> MergeResult:
-    """Filter candidates against the CTC greedy alignment, then splice winners.
+    """Splice candidates that beat the CTC greedy words into the transducer words.
 
-    Acceptance decisions are made exactly as in merge_ctc (the transducer's
-    own scores never enter the comparison); every accepted candidate then
-    unconditionally replaces the transducer words its interval touches.
+    A candidate is accepted iff it outscores the CTC words it overlaps.
+    Candidates (non-overlapping, e.g. find_best_hyps output) are decided left
+    to right against the current CTC word list: an accepted candidate removes
+    every CTC word its closed interval touches.  A candidate overlapping no
+    CTC words is compared against the blank mass of its interval
+    (`blank_scores`: per-frame ctc_w-weighted blank log-probs).  The
+    transducer's own scores never enter the comparison; every accepted
+    candidate unconditionally replaces the transducer words its interval
+    touches.
 
     Raises:
         DimensionMismatchError: a transducer word ends at or after the CTC
@@ -72,16 +75,7 @@ def merge_transducer(
             f"transducer word {words[-1].word!r} ends at frame {words[-1].end_frame}, "
             f"the CTC matrix has {ctc_alignment.frames} frames"
         )
-    return _result(words, _decide(ctc_alignment, candidates, blank_scores))
-
-
-def _decide(
-    alignment: WordAlignment,
-    candidates: Sequence[SpottedCandidate],
-    blank_scores: Sequence[float],
-) -> tuple[MergeDecision, ...]:
-    """Each candidate's accept/reject decision against a CTC alignment, in frame order."""
-    kept = list(alignment.words)
+    kept = list(ctc_alignment.words)
     decisions: list[MergeDecision] = []
     for cand in sorted(candidates, key=lambda c: (c.start_frame, c.end_frame)):
         over = [w for w in kept if _touches(w, cand)]
@@ -100,7 +94,7 @@ def _decide(
         )
         if accepted and over:
             kept = [w for w in kept if not _touches(w, cand)]
-    return tuple(decisions)
+    return _result(words, tuple(decisions))
 
 
 def _touches(word: AlignedWord, cand: SpottedCandidate) -> bool:

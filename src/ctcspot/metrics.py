@@ -71,18 +71,24 @@ def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
     return sum(1 for op in align_words(ref, hyp) if op.kind != "match")
 
 
+def _words(text: str) -> list[str]:
+    """A transcript's words in canonical_form: the one way a score reads text."""
+    return canonical_form(text).split()
+
+
 def wer(pairs: Iterable[tuple[str, str]]) -> float:
     """Corpus word error rate in percent: 100 * edits / reference words.
 
-    An empty corpus (no reference words at all) scores 0.0 when every
-    hypothesis is empty too, else 100 per stray hypothesis word.
+    Both sides are read through canonical_form, so case and whitespace runs
+    are not errors.  An empty corpus (no reference words at all) scores 0.0
+    when every hypothesis is empty too, else 100 per stray hypothesis word.
     """
     errors = 0
     ref_words = 0
     stray = 0
     for ref_text, hyp_text in pairs:
-        ref = ref_text.split()
-        hyp = hyp_text.split()
+        ref = _words(ref_text)
+        hyp = _words(hyp_text)
         errors += edit_distance(ref, hyp)
         ref_words += len(ref)
         stray += len(hyp)
@@ -129,8 +135,9 @@ def score_context_words(
 ) -> dict[str, dict[str, int]]:
     """Per-word hit/miss counts restricted to the biasing list.
 
-    A substitution touching biasing words on both sides charges a miss to
-    the reference word and a false alarm to the hypothesis word.
+    A listed word matched in the hypothesis is a hit.  Otherwise a listed
+    reference word is a miss and a listed hypothesis word a false alarm, so
+    a substitution between two listed words charges both.
     """
     targets = set(biasing_words)
     counts: dict[str, dict[str, int]] = {}
@@ -143,12 +150,6 @@ def score_context_words(
         if op.kind == "match":
             if op.ref in targets:
                 bump(op.ref, "tp")
-        elif op.kind == "del":
-            if op.ref in targets:
-                bump(op.ref, "fn")
-        elif op.kind == "ins":
-            if op.hyp in targets:
-                bump(op.hyp, "fp")
         else:
             if op.ref in targets:
                 bump(op.ref, "fn")
@@ -187,14 +188,15 @@ def evaluate(
 ) -> EvalReport:
     """Score a corpus of (reference, hypothesis) text pairs.
 
-    WER runs on raw words.  Precision/recall count the biasing words, taken
-    in canonical_form, over every pair's phrase-fused words, so a multi-word
+    WER, precision/recall and the per-word counts all read words through
+    canonical_form, as do the biasing words.  Precision/recall count the
+    biasing words over every pair's phrase-fused words, so a multi-word
     entry counts once.
     """
     targets = [w for w in map(canonical_form, biasing_words) if w]
 
     def fused(text: str) -> list[str]:
-        return fuse_phrases(text.split(), targets)
+        return fuse_phrases(_words(text), targets)
 
     per_word = score_context_words(
         (op for ref, hyp in pairs for op in align_words(fused(ref), fused(hyp))), targets
@@ -211,7 +213,7 @@ def evaluate(
         fscore=fscore(precision, recall),
         per_word=per_word,
         num_utterances=len(pairs),
-        num_ref_words=sum(len(ref.split()) for ref, _ in pairs),
+        num_ref_words=sum(len(_words(ref)) for ref, _ in pairs),
     )
 
 
@@ -222,9 +224,11 @@ def mine_biasing_list(
 ) -> list[tuple[str, int, int]]:
     """Find reference terms the hypotheses keep getting wrong.
 
-    Counts every reference word and every adjacent word pair; a term is
-    kept when its recognition accuracy (exact matches over occurrences)
-    is at most max_accuracy and it is at least min_len characters.
+    Counts every reference word and every adjacent word pair, read and
+    returned in canonical_form, so a hypothesis differing only in case
+    matches; a term is kept when its recognition accuracy (exact matches
+    over occurrences) is at most max_accuracy and it is at least min_len
+    characters.
     Returns (term, occurrences, matches) sorted by frequency, most
     frequent first, ties alphabetical.  max_accuracy must be in [0, 1].
     """
@@ -233,8 +237,8 @@ def mine_biasing_list(
     occurrences: dict[str, int] = {}
     matches: dict[str, int] = {}
     for ref_text, hyp_text in pairs:
-        ref = ref_text.split()
-        hyp = hyp_text.split()
+        ref = _words(ref_text)
+        hyp = _words(hyp_text)
         ops = [op for op in align_words(ref, hyp) if op.kind != "ins"]
         # ops is now positional with ref: op k consumed ref[k]
         hit = [op.kind == "match" for op in ops]

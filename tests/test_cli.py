@@ -962,6 +962,28 @@ def test_whitespace_run_in_a_context_list_line_reads_as_one_space(corpus, capsys
     assert json.loads(report.read_text())["per_word"] == {"ab a": {"tp": 1, "fp": 0, "fn": 0}}
 
 
+def test_upper_case_reference_text_scores_as_lowercase(corpus):
+    manifest = corpus / "manifest.jsonl"
+    upper = corpus / "upper.jsonl"
+    with open(upper, "w", encoding="utf-8") as fh:
+        for row in read_rows(manifest):
+            fh.write(json.dumps({**row, "text": row["text"].upper()}) + "\n")
+    out = corpus / "out.jsonl"
+    assert main(["decode", *args_vocab(corpus), "--manifest", str(manifest), *args_graph(corpus),
+                 "--output", str(out)]) == 0
+    written = {}
+    for name in ("manifest", "upper"):
+        report, mined = corpus / f"{name}.report.json", corpus / f"{name}.mined.txt"
+        assert main(["eval", "--results", str(out), "--manifest", str(corpus / f"{name}.jsonl"),
+                     "--context-list", str(corpus / "ctx.txt"), "--output", str(report)]) == 0
+        assert main(["mine-list", *args_vocab(corpus), "--manifest",
+                     str(corpus / f"{name}.jsonl"), "--output", str(mined), "--min-len", "1"]) == 0
+        written[name] = (report.read_bytes(), mined.read_bytes())
+    assert written["upper"] == written["manifest"]
+    assert json.loads(written["upper"][0])["per_word"] == {"ab": {"tp": 1, "fp": 0, "fn": 0}}
+    assert written["upper"][1] == b"ab\n"
+
+
 class TestOutputReplacedOnlyWhenComplete:
     """A command failing while it writes leaves an earlier output as it was."""
 

@@ -70,6 +70,7 @@ class TestWer:
 
     def test_perfect(self):
         assert wer([("a b", "a b")]) == 0.0
+        assert wer([("Buy  GPU", "buy gpu")]) == 0.0
 
     def test_empty_corpus(self):
         assert wer([]) == 0.0
@@ -167,7 +168,7 @@ class TestEvaluate:
         # as one miss, never a partial hit
         assert report.recall == 0.0
         assert report.per_word["geforce rtx"]["fn"] == 1
-        assert report.wer == pytest.approx(25.0)  # raw words: 1 sub over 4
+        assert report.wer == pytest.approx(25.0)  # unfused words: 1 sub over 4
 
     def test_phrase_hit_counts_once(self):
         pairs = [("the geforce rtx card", "the geforce rtx card")]
@@ -179,6 +180,13 @@ class TestEvaluate:
         report = evaluate([("gpu", "gpu")], ["  GPU  ", ""])
         assert report.per_word["gpu"]["tp"] == 1
         report = evaluate([("buy geforce rtx now", "buy geforce  rtx now")], ["geforce  rtx"])
+        assert report.per_word == {"geforce rtx": {"tp": 1, "fp": 0, "fn": 0}}
+
+    def test_transcripts_read_in_canonical_form(self):
+        report = evaluate([("buy GPU now", "buy gpu now")], ["gpu"])
+        assert report.wer == 0.0
+        assert report.per_word == {"gpu": {"tp": 1, "fp": 0, "fn": 0}}
+        report = evaluate([("GeForce RTX", "geforce rtx")], ["geforce rtx"])
         assert report.per_word == {"geforce rtx": {"tp": 1, "fp": 0, "fn": 0}}
 
     def test_no_biasing_hits_anywhere(self):
@@ -255,6 +263,11 @@ class TestMineBiasingList:
         assert got["gpu"] == (1, 1)
         assert got["fast"] == (1, 1)
         assert got["gpu fast"] == (1, 1)
+
+    def test_terms_read_in_canonical_form(self):
+        assert mine_biasing_list([("buy GPU now", "buy gpu now")] * 2) == []
+        mined = mine_biasing_list([("Buy GPU", "buy cpu")] * 2)
+        assert [t for t, _, _ in mined] == ["buy gpu", "gpu"]
 
     def test_empty_corpus(self):
         assert mine_biasing_list([]) == []
