@@ -305,19 +305,27 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    hyps: dict[str, str] = {}
+    hyps: dict[str, tuple[str, str | None]] = {}
     for where, row in read_jsonl(args.results, frozenset({"id", "merged_text"})):
         if not isinstance(row["id"], str) or not isinstance(row["merged_text"], str):
             raise InvalidValueError(f"{where}: 'id' and 'merged_text' must be strings")
+        # the transcript the merge repaired: the transducer's, else the greedy CTC text
+        baseline = row["transducer_text"] if "transducer_text" in row else row.get("greedy_text")
+        if baseline is not None and not isinstance(baseline, str):
+            raise InvalidValueError(f"{where}: 'transducer_text' and 'greedy_text' must be strings")
         if row["id"] in hyps:
             raise InvalidValueError(f"{where}: duplicate result id {row['id']!r}")
-        hyps[row["id"]] = row["merged_text"]
+        hyps[row["id"]] = (row["merged_text"], baseline)
 
     pairs: list[tuple[str, str]] = []
+    baseline_pairs: list[tuple[str, str]] = []
     records = load_manifest(args.manifest)
     for record in records:
         if record.text is not None and record.utterance_id in hyps:
-            pairs.append((record.text, hyps[record.utterance_id]))
+            merged, baseline = hyps[record.utterance_id]
+            pairs.append((record.text, merged))
+            if baseline is not None:
+                baseline_pairs.append((record.text, baseline))
     if not pairs:
         raise InvalidValueError("nothing to score: no manifest row has both text and a result")
     if len(pairs) < len(records):
@@ -337,7 +345,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise InvalidValueError(f"{where}: 'decode_seconds' must be a finite number")
 
     report = evaluate(pairs, biasing)
-    payload = json.dumps({**report.as_dict(), "decode_seconds": decode_seconds},
+    # a baseline over fewer rows than the merged scores would score another corpus
+    base = evaluate(baseline_pairs, biasing) if len(baseline_pairs) == len(pairs) else None
+    baseline_keys = {f"baseline_{key}": None if base is None else getattr(base, key)
+                     for key in ("wer", "precision", "recall", "fscore")}
+    payload = json.dumps({**report.as_dict(), **baseline_keys, "decode_seconds": decode_seconds},
                          ensure_ascii=False, indent=2) + "\n"
     if args.output:
         with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:

@@ -25,6 +25,8 @@ _FORMAT_VERSION = 1
 _FLAG_NORMALIZED = 0x01
 # magic, version, flags, reserved, frames, vocab size; payload follows row-major.
 _HEADER = struct.Struct("<4sBBHII")
+# float32 bytes exponentiated at a time when checking normalization: 64 rows at width 1024
+_VALIDATION_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,13 @@ class LogProbMatrix:
     to 0 within 1e-3 (synthetic fixtures may be unnormalized and say so).
 
     Validation takes one row-wise max: NaN propagates through it, so the
-    same pass rejects NaN and values above 0.  Normalization is then checked
-    as the max-shifted log(sum(exp(row - max))) + max, summed in float64
-    from a float32 temporary, so no float64 copy of the matrix is made.  An
-    all -inf row (zero total probability) is rejected in every matrix: no
-    token can be decoded from it.
+    same pass rejects NaN and values above 0.  An all -inf row (zero total
+    probability) is rejected in every matrix: no token can be decoded from
+    it.  Normalization is then checked as the max-shifted
+    log(sum(exp(row - max))) + max, summed in float64.  The shifted rows are
+    exponentiated a block of about 256 KB at a time in one reused float32
+    buffer, so validation makes no whole-matrix temporary; the row sums are
+    the ones a whole-matrix pass gives, bit for bit.
     """
 
     values: np.ndarray
@@ -108,9 +112,16 @@ class LogProbMatrix:
         if np.isneginf(row_max).any():
             raise InvalidValueError("log-prob matrix has a row that is all -inf")
         if self.normalized:
-            shifted = arr - row_max[:, None]
-            np.exp(shifted, out=shifted)
-            lse = np.log(shifted.sum(axis=1, dtype=np.float64)) + row_max
+            frames, width = arr.shape
+            rows = max(1, _VALIDATION_BLOCK_BYTES // (4 * width))
+            block = np.empty((min(rows, frames), width), dtype=np.float32)
+            sums = np.empty(frames)
+            for lo in range(0, frames, rows):
+                part = block[: frames - lo]
+                np.subtract(arr[lo:lo + rows], row_max[lo:lo + rows, None], out=part)
+                np.exp(part, out=part)
+                part.sum(axis=1, dtype=np.float64, out=sums[lo:lo + rows])
+            lse = np.log(sums) + row_max
             if not np.all(np.abs(lse) <= 1e-3):
                 raise InvalidValueError("rows flagged normalized but log-sum-exp deviates from 0")
 
@@ -249,22 +260,31 @@ def load_logprobs(path: str) -> LogProbMatrix:
     Layout: "CTCL" magic, u8 version (=1), u8 flags (bit 0 = normalized),
     u16 reserved (=0), u32 frames, u32 vocab size, then frames*vocab
     little-endian float32 values in row-major order.
+
+    The payload is read straight into the returned matrix's own writeable
+    array, the one whole-matrix allocation of a load.  A read-only view
+    over the file's bytes would cost a second copy downstream, since
+    `np.argmax` copies a read-only array whole.  The payload size is
+    checked against the file size before that array is allocated, so a
+    corrupt header is a FormatError, never a MemoryError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a CTCL matrix file")
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    _, version, flags, _, frames, vocab = _HEADER.unpack_from(raw)
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    payload = len(raw) - _HEADER.size
-    expected = frames * vocab * 4
-    if payload != expected:
-        raise FormatError(f"{path}: payload is {payload} bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<f4", count=frames * vocab, offset=_HEADER.size)
-    values = values.reshape(frames, vocab)
+        head = fh.read(_HEADER.size)
+        if head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not a CTCL matrix file")
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        _, version, flags, _, frames, vocab = _HEADER.unpack(head)
+        if version != _FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected = frames * vocab * 4
+        if payload != expected:
+            raise FormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+        values = np.empty((frames, vocab), dtype="<f4")
+        got = fh.readinto(values)
+        if got != expected:  # the file shrank after fstat
+            raise FormatError(f"{path}: payload is {got} bytes, expected {expected}")
     return LogProbMatrix(values=values, normalized=bool(flags & _FLAG_NORMALIZED))
 
 

@@ -175,7 +175,7 @@ def spot(
 
     canonicals = graph.canonicals
     return [
-        SpottedCandidate(entry_id=e, word=canonicals[e], start_frame=s, end_frame=f, score=sc)
+        SpottedCandidate(e, canonicals[e], s, f, sc)
         for (s, f, e), sc in sorted(spotted.items())
     ]
 

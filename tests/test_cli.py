@@ -17,6 +17,7 @@ from ctcspot import (
     BiasingEntry,
     LogProbMatrix,
     build_graph,
+    evaluate,
     expand_entries,
     load_logprobs,
     load_vocabulary,
@@ -443,6 +444,37 @@ class TestEval:
         assert report["decode_seconds"] == meta["decode_seconds"]
         assert "wer 0.00" in capsys.readouterr().out
 
+    def test_report_scores_the_greedy_baseline_beside_the_merge(self, corpus, capsys):
+        self.decode_first(corpus)
+        capsys.readouterr()
+        assert self.run_eval(corpus) == 0
+        report = json.loads(capsys.readouterr().out)
+        greedy = {row["id"]: row["greedy_text"] for row in read_rows(corpus / "out.jsonl")}
+        assert greedy == {"u1": "bb", "u2": "a"}
+        base = evaluate([("ab", "bb"), ("a", "a")], ["ab"])
+        keys = ("wer", "precision", "recall", "fscore")
+        assert [report[f"baseline_{k}"] for k in keys] == [getattr(base, k) for k in keys]
+        assert (report["baseline_wer"], report["wer"]) == (50.0, 0.0)
+        assert (report["baseline_fscore"], report["fscore"]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "u1, baseline_wer",
+        [({"greedy_text": "bb", "transducer_text": "ab"}, 0.0), ({}, None)],
+        ids=["transducer-first", "missing-on-one-row"],
+    )
+    def test_baseline_reads_the_transcript_the_merge_repaired(self, corpus, capsys, u1,
+                                                              baseline_wer):
+        (corpus / "out.jsonl").write_text(
+            json.dumps({"id": "u1", "merged_text": "ab", **u1}) + "\n"
+            + json.dumps({"id": "u2", "merged_text": "a", "greedy_text": "a"}) + "\n",
+            encoding="utf-8",
+        )
+        assert self.run_eval(corpus) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["baseline_wer"] == baseline_wer
+        if baseline_wer is None:  # no baseline rather than one over another set of rows
+            assert report["baseline_fscore"] is None and report["fscore"] == 1.0
+
     def test_report_to_stdout(self, corpus, capsys):
         self.decode_first(corpus)
         capsys.readouterr()  # drop the decode status line
@@ -747,6 +779,8 @@ class TestNonStringFields:
         [
             ("eval", "out.jsonl", {"id": ["u1"], "merged_text": "ab"}, STRINGS),
             ("eval", "out.jsonl", {"id": "u1", "merged_text": 5}, STRINGS),
+            ("eval", "out.jsonl", {"id": "u1", "merged_text": "ab", "greedy_text": 5},
+             "'transducer_text' and 'greedy_text' must be strings"),
             ("eval", "manifest.jsonl", {"id": "u1", "logprobs": "u1.bin", "text": 5},
              "'text' must be a string or null"),
             ("mine-list", "manifest.jsonl", {"id": "u1", "logprobs": 5, "text": "ab"},
@@ -760,9 +794,9 @@ class TestNonStringFields:
             ("decode", "manifest.jsonl", {"id": "", "logprobs": "u1.bin"}, NON_EMPTY_ID),
             ("decode", "manifest.jsonl", {"id": 1, "logprobs": "u1.bin"}, NON_EMPTY_ID),
         ],
-        ids=["eval-id", "eval-merged_text", "eval-text", "mine-list-logprobs",
-             "decode-logprobs", "decode-transducer_alignment", "decode-empty-logprobs",
-             "decode-empty-id", "decode-number-id"],
+        ids=["eval-id", "eval-merged_text", "eval-greedy_text", "eval-text",
+             "mine-list-logprobs", "decode-logprobs", "decode-transducer_alignment",
+             "decode-empty-logprobs", "decode-empty-id", "decode-number-id"],
     )
     def test_exits_2_with_one_line(self, corpus, caplog, command, name, row, message):
         first = {"id": "u0", "merged_text": "a"} if name == "out.jsonl" else {

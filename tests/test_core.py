@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from ctcspot import (
     tokenize,
     write_logprobs,
 )
+from ctcspot import core
 
 
 class TestVocabulary:
@@ -161,6 +165,87 @@ class TestLogProbMatrix:
                 values[int(rng.integers(frames)), int(rng.integers(width))] = np.inf
             normalized = bool(rng.random() < 0.7)
             want = reference_accepts(values, normalized)
+            try:
+                LogProbMatrix(values=values, normalized=normalized)
+                got = True
+            except InvalidValueError:
+                got = False
+            assert got == want
+            outcomes.add((normalized, want))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestLogProbMatrixBlocks:
+    """Normalization is checked 64 rows at a time at width 1024; every fault
+    is found, with its message, wherever the blocks fall."""
+
+    WIDTH = 1024
+
+    @pytest.fixture(params=[1, 63, 64, 65, 200])
+    def values(self, request):
+        rng = np.random.default_rng(request.param)
+        return log_softmax_rows(rng.normal(size=(request.param, self.WIDTH)) * 3)
+
+    def test_accepts_a_normalized_matrix(self, values):
+        LogProbMatrix(values=values, normalized=True)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("nan", "NaN"), ("pos_inf", "above 0"), ("all_neg_inf", "all -inf"),
+         ("lse_up", "log-sum-exp"), ("lse_down", "log-sum-exp")],
+    )
+    def test_fault_in_the_last_block(self, values, fault, message):
+        row = len(values) - 1
+        if fault == "nan":
+            values[row, 7] = np.nan
+        elif fault == "pos_inf":
+            values[row, 7] = np.inf
+        elif fault == "all_neg_inf":
+            values[row] = -np.inf
+        else:
+            values[row] += np.float32(2e-3 if fault == "lse_up" else -2e-3)
+        with pytest.raises(InvalidValueError, match=message):
+            LogProbMatrix(values=values, normalized=True)
+
+    def test_nan_in_a_later_block_beats_a_value_above_0_in_the_first(self):
+        values = log_softmax_rows(np.random.default_rng(3).normal(size=(200, self.WIDTH)))
+        values[0, 0] = 0.5
+        values[150, 3] = np.nan
+        for normalized in (False, True):
+            with pytest.raises(InvalidValueError, match="NaN"):
+                LogProbMatrix(values=values, normalized=normalized)
+
+    @staticmethod
+    def reference_accepts(values: np.ndarray, normalized: bool) -> bool:
+        if np.isnan(values).any() or values.max() > 0:
+            return False
+        if np.isneginf(values).all(axis=1).any():
+            return False
+        if normalized:
+            lse = np.logaddexp.reduce(values.astype(np.float64), axis=1)
+            return bool(np.all(np.abs(lse) <= 1e-3))
+        return True
+
+    def test_decisions_match_logaddexp_reference(self):
+        rng = np.random.default_rng(2207)
+        outcomes = set()
+        for _ in range(60):
+            frames, width = int(rng.integers(60, 260)), int(rng.choice([300, 1024, 1500]))
+            values = log_softmax_rows(rng.normal(size=(frames, width)) * rng.uniform(0.5, 8))
+            row = int(rng.integers(frames))
+            fault = rng.choice(["none", "inside", "outside", "neg_inf", "nan", "pos_inf", "row"])
+            if fault in ("inside", "outside"):
+                # shift one row around the tolerance, keeping clear of its edge
+                shift = (4e-4 if fault == "inside" else 1.5e-3) * rng.choice([-1, 1])
+                values[row] += np.float32(shift)
+            elif fault == "neg_inf":
+                values[rng.random(values.shape) < 0.3] = -np.inf
+            elif fault == "row":
+                values[row] = -np.inf
+            elif fault != "none":
+                values[row, int(rng.integers(width))] = np.nan if fault == "nan" else np.inf
+            normalized = bool(rng.random() < 0.7)
+            want = self.reference_accepts(values, normalized)
             try:
                 LogProbMatrix(values=values, normalized=normalized)
                 got = True
@@ -343,6 +428,67 @@ class TestLogProbFiles:
             return
         assert all(c.word == graph.canonicals[c.entry_id] for c in candidates)
         assert all(0 <= w.start_frame <= w.end_frame < lp.frames for w in greedy.words)
+
+
+class TestLogProbMemory:
+    """Peak traced allocation while loading, validating and aligning one
+    1000x1024 matrix, against the matrix's own bytes."""
+
+    FRAMES, WIDTH = 1000, 1024
+    MATRIX_BYTES = FRAMES * WIDTH * 4
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        rng = np.random.default_rng(22)
+        values = log_softmax_rows(rng.normal(size=(self.FRAMES, self.WIDTH)) * 3)
+        path = tmp_path_factory.mktemp("lp") / "m.bin"
+        write_logprobs(LogProbMatrix(values=values, normalized=True), str(path))
+        return str(path)
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_allocates_the_matrix_once(self, path):
+        assert self.peak(lambda: load_logprobs(path)) <= 1.25 * self.MATRIX_BYTES
+
+    def test_validation_makes_no_whole_matrix_temporary(self, path):
+        values = load_logprobs(path).values
+        peak = self.peak(lambda: LogProbMatrix(values=values, normalized=True))
+        assert peak <= 0.25 * self.MATRIX_BYTES
+
+    def test_greedy_alignment_does_not_copy_a_loaded_matrix(self, path):
+        vocab = Vocabulary(tokens=tuple(f"\u2581t{i}" for i in range(self.WIDTH - 1)) + ("<b>",),
+                           blank_id=self.WIDTH - 1)
+        lp = load_logprobs(path)
+        assert lp.values.flags.writeable
+        assert self.peak(lambda: greedy_ctc_align(lp, vocab)) <= 0.25 * self.MATRIX_BYTES
+
+    def test_huge_frame_count_in_the_header_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(core._HEADER.pack(b"CTCL", 1, 1, 0, 2**32 - 1, 1024) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload is 64 bytes"):
+                load_logprobs(str(path))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_file_shrinking_after_its_size_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.bin"
+        write_logprobs(LogProbMatrix(values=np.full((3, 2), -0.7, dtype=np.float32)), str(path))
+        path.write_bytes(path.read_bytes()[:-4])
+        real_fstat = os.fstat
+        monkeypatch.setattr(core.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 4))
+        with pytest.raises(FormatError, match="payload is 20 bytes, expected 24"):
+            load_logprobs(str(path))
 
 
 class TestManifest:
