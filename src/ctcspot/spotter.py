@@ -7,6 +7,7 @@ child's token and move).  Reaching an end-of-word node reports a candidate.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import NamedTuple
 
@@ -15,6 +16,12 @@ import numpy as np
 from .core import LogProbMatrix, SpotterConfig
 from .errors import DimensionMismatchError
 from .graph import ContextGraph
+
+# histogram pruning, as in the max_active option of WFST decoders: with a
+# finite beam, at most this many states stay live after each frame.  64 is
+# above every live-state peak measured on the long_bpe and cli_corpus
+# benchmark workloads, so it binds only on dense high-entropy input.
+_MAX_ACTIVE = 64
 
 
 class SpottedCandidate(NamedTuple):
@@ -61,13 +68,22 @@ def spot(
     floats would (NumPy 2 would compare a float32 column with a Python
     float in float32).
 
+    With a finite beam, once the beam has filtered a frame's states, at
+    most _MAX_ACTIVE of them stay live (histogram pruning): the best score
+    first, then the earlier start, the smaller node, and blank_seen False
+    before True.  States are unique per (node, blank_seen), so the order is
+    total and the kept set does not depend on the order moves are made in.
+    With beam_thr=inf there is no cap, so the exhaustive search stays exact.
+
     One shortcut leaves the result unchanged: a move is offered for
     merging only if it scores at least lo = max(0, best score offered so
     far this frame) - beam_thr, the fresh empty hypothesis counting as 0;
     end-of-word moves are recorded whatever their score.  This is lossless
     because lo never exceeds the frame's final beam cutoff, which is the
     final lo, so a dropped move would have been filtered by the beam or
-    lost its merge to a higher score.  With beam_thr=inf lo stays -inf.
+    lost its merge to a higher score.  The states that survive the beam
+    are therefore the same with or without the shortcut, and the cap ranks
+    only those.  With beam_thr=inf lo stays -inf.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -90,6 +106,7 @@ def spot(
     # a beam bounds the live states by merging equal ones; with no beam
     # there is no bound to keep, and hypotheses stay apart per start
     merge_starts = beam < math.inf
+    max_active = _MAX_ACTIVE if merge_starts else math.inf
 
     # the blank-skip test and the first-token gate for every frame at once
     seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > cfg.beta_thr))
@@ -172,12 +189,21 @@ def spot(
 
         # the final lo is the beam cutoff max(0, frame best) - beam_thr
         active = [state for state in current.values() if state[2] >= lo]
+        if len(active) > max_active:
+            active = heapq.nlargest(max_active, active, key=_rank)
 
     canonicals = graph.canonicals
     return [
         SpottedCandidate(e, canonicals[e], s, f, sc)
         for (s, f, e), sc in sorted(spotted.items())
     ]
+
+
+def _rank(state: list) -> tuple:
+    """Cap order of a live state [node, blank_seen, score, start], larger first:
+    higher score, earlier start, smaller node, blank_seen False."""
+    node, blank_seen, score, start = state
+    return score, -start, -node, not blank_seen
 
 
 def find_best_hyps(candidates: list[SpottedCandidate]) -> list[SpottedCandidate]:

@@ -9,16 +9,21 @@ Writes three normalized matrices and one JSON file next to this script:
 - spot_golden_dense.bin: 48 high-entropy character frames with planted
   words, searched with a 2500-entry trie, in the shape of the benchmark's
   dense_char workload.
-- spot_golden.json: per case, the biasing entries as token-id sequences, the
-  blank id, the spotter config and the pruned `spot` candidates as
-  (entry id, start frame, end frame, score).
+- spot_golden.json: per case, the matrix file, the biasing entries as
+  token-id sequences, the blank id, the spotter config, the live-state
+  cap searched with (`spotter._MAX_ACTIVE`) and the pruned `spot`
+  candidates as (entry id, start frame, end frame, score).  Each case is
+  searched with a cap above its peak, so the cap never binds; the dense
+  case also holds, under `capped`, its search again at the module's cap,
+  which binds on 20 of its 48 frames.
 
 The matrices are stored rather than regenerated so that the replay does
 not depend on how a platform rounds `exp` and `log`.  The bpe and char
 candidates were recorded with the spotter that looped over every root
 child in Python and offered every move to state merging, the dense ones
-with the spotter that offered every move scoring at least -beam_thr; a
-later spotter must reproduce them exactly.  Run from the repository root:
+with the spotter that offered every move scoring at least -beam_thr, and
+the capped dense ones with the first spotter that capped the live states; a later
+spotter must reproduce them exactly.  Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_spot_golden.py
 """
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 
@@ -39,12 +45,16 @@ from ctcspot import (
     load_logprobs,
     spot,
     tokenize,
+    spotter,
     write_logprobs,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MARKER = "▁"
+# a live-state cap above the peaks per frame of the bpe, char and dense
+# cases (262, 580 and 284), so it leaves their recorded candidates as they were
+UNCAPPED = 1024
 
 
 def _normalize(probs: np.ndarray) -> np.ndarray:
@@ -161,6 +171,13 @@ def dense_case(rng) -> tuple[np.ndarray, list[BiasingEntry], int]:
     return _normalize(probs), entries, vocab.blank_id
 
 
+def _search(lp: LogProbMatrix, graph, cfg: SpotterConfig, cap: int) -> dict:
+    with mock.patch.object(spotter, "_MAX_ACTIVE", cap):
+        cands = spot(lp, graph, cfg)
+    return {"max_active": cap,
+            "candidates": [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in cands]}
+
+
 def main() -> None:
     cfg = SpotterConfig()
     cases = {}
@@ -173,8 +190,8 @@ def main() -> None:
         path = os.path.join(HERE, f"spot_golden_{name}.bin")
         write_logprobs(LogProbMatrix(values=values, normalized=True), path)
         graph = build_graph(entries, blank_id=blank)
-        cands = spot(load_logprobs(path), graph, cfg)
-        cases[name] = {
+        lp = load_logprobs(path)
+        cases[name] = case = {
             "matrix": os.path.basename(path),
             "blank_id": blank,
             "config": {
@@ -184,10 +201,13 @@ def main() -> None:
                 "beam_thr": cfg.beam_thr,
             },
             "entries": [[e.canonical, list(e.transcriptions[0])] for e in entries],
-            "candidates": [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in cands],
+            **_search(lp, graph, cfg, UNCAPPED),
         }
-        print(f"{name}: {values.shape[0]}x{values.shape[1]}, "
-              f"{len(entries)} entries, {len(cands)} candidates")
+        if name == "dense":
+            case["capped"] = _search(lp, graph, cfg, spotter._MAX_ACTIVE)
+        print(f"{name}: {values.shape[0]}x{values.shape[1]}, {len(entries)} entries, "
+              f"{len(case['candidates'])} candidates"
+              + (f", {len(case['capped']['candidates'])} capped" if "capped" in case else ""))
     with open(os.path.join(HERE, "spot_golden.json"), "w", encoding="utf-8") as fh:
         json.dump(cases, fh, ensure_ascii=False, separators=(",", ":"))
         fh.write("\n")

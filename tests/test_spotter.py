@@ -6,6 +6,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ctcspot import (
     find_best_hyps,
     load_logprobs,
     spot,
+    spotter,
 )
 from oracle import best_path_score
 
@@ -41,6 +43,11 @@ def entries_graph(*seqs: tuple[int, ...]):
         BiasingEntry(canonical=f"w{i}", transcriptions=(tuple(s),)) for i, s in enumerate(seqs)
     ]
     return entries, build_graph(entries, blank_id=0)
+
+
+def max_active(k: int):
+    """Search with a live-state cap of k instead of the module's."""
+    return mock.patch.object(spotter, "_MAX_ACTIVE", k)
 
 
 class TestAgainstOracle:
@@ -220,6 +227,37 @@ class TestPruning:
         full = spot(lp, graph, replace(EXHAUSTIVE, cb_w=0.0))
         assert [(c.start_frame, c.end_frame) for c in full] == [(0, 2), (1, 2)]
 
+    @pytest.mark.parametrize(
+        "p1, p3, kept",
+        [(0.5, 0.4, "w0"), (0.4, 0.5, "w1"), (0.45, 0.45, "w0")],  # a tie: the smaller node
+    )
+    def test_cap_keeps_the_best_states(self, p1, p3, kept):
+        # frame 0 leaves two live states, the first tokens of w0 = [1, 2] and
+        # w1 = [3, 4]; a cap of 1 lets only the better one finish on frame 1
+        lp = probs_matrix(
+            [[0.09, p1, 0.005, p3, 1 - 0.095 - p1 - p3], [0.1, 0.01, 0.44, 0.01, 0.44]]
+        )
+        _, graph = entries_graph((1, 2), (3, 4))
+
+        def found(k):
+            with max_active(k):
+                cands = spot(lp, graph, SpotterConfig())
+            return {(c.word, c.start_frame, c.end_frame) for c in cands}
+
+        assert found(2) == {("w0", 0, 1), ("w1", 0, 1)}
+        assert found(1) == {(kept, 0, 1)}
+
+    def test_cap_is_not_applied_with_an_infinite_beam(self):
+        rng = np.random.default_rng(11)
+        lp = random_matrix(rng, 12, 5)
+        _, graph = entries_graph((1, 2), (3,), (2, 4, 1), (1, 3))
+        beamed = replace(EXHAUSTIVE, beam_thr=7.0)
+        full = spot(lp, graph, EXHAUSTIVE), spot(lp, graph, beamed)
+        with max_active(1):
+            assert spot(lp, graph, EXHAUSTIVE) == full[0]
+            # the same cap binds on this input once the beam is finite
+            assert spot(lp, graph, beamed) != full[1]
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         lp = random_matrix(rng, 12, 5)
@@ -228,11 +266,15 @@ class TestPruning:
             assert spot(lp, graph, cfg) == spot(lp, graph, cfg)
 
 
-def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -> list[tuple]:
+def reference_spot(
+    lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig, cap: int
+) -> list[tuple]:
     """The documented rule, written plainly: every move scoring at least
     -beam_thr is offered to state merging (best score, ties to the earlier
     start; states that started on different frames stay apart when the beam
-    is infinite), then the frame's states are filtered by the beam."""
+    is infinite), then the frame's states are filtered by the beam and, with
+    a finite beam, the first `cap` of them kept in the order best score,
+    earlier start, smaller node, blank_seen False first."""
     token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
     blank = graph.blank_id
     keep_starts = math.isinf(cfg.beam_thr)
@@ -270,6 +312,9 @@ def reference_spot(lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig) -
                 current[key] = (score, start)
         cutoff = max([0.0] + [score for score, _ in current.values()]) - cfg.beam_thr
         active = {k: v for k, v in current.items() if v[0] >= cutoff}
+        if not keep_starts:
+            ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))
+            active = dict(ranked[:cap])
     return sorted((s, e, entry, score) for (entry, s, e), score in spotted.items())
 
 
@@ -309,8 +354,10 @@ class TestAgainstReference:
             gamma_thr=data.draw(st.sampled_from([math.log(0.001), -2.0, -math.inf])),
             beam_thr=data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, math.inf])),
         )
-        want = reference_spot(lp, graph, cfg)
-        got = spot(lp, graph, cfg)
+        cap = data.draw(st.sampled_from([1, 2, 4, 64]))
+        want = reference_spot(lp, graph, cfg, cap)
+        with max_active(cap):
+            got = spot(lp, graph, cfg)
         assert [(c.start_frame, c.end_frame, c.entry_id, c.score) for c in got] == want
         assert all(c.word == graph.canonicals[c.entry_id] for c in got)
 
@@ -347,10 +394,12 @@ class TestEntryOrder:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         lp = random_matrix(rng, int(rng.integers(1, 13)), 7, scale=float(rng.uniform(0.5, 4.0)))
         cfg = data.draw(st.sampled_from([SpotterConfig(cb_w=1.0), EXHAUSTIVE]))
-        want = [(c.start_frame, c.end_frame, c.entry_id, c.word, c.score)
-                for c in spot(lp, graph, cfg)]
-        got = [(c.start_frame, c.end_frame, perm[c.entry_id], c.word, c.score)
-               for c in spot(lp, permuted, cfg)]
+        # a cap of 2 binds often, so its tie order decides which states live
+        with max_active(data.draw(st.sampled_from([2, 64]))):
+            want = [(c.start_frame, c.end_frame, c.entry_id, c.word, c.score)
+                    for c in spot(lp, graph, cfg)]
+            got = [(c.start_frame, c.end_frame, perm[c.entry_id], c.word, c.score)
+                   for c in spot(lp, permuted, cfg)]
         assert sorted(got) == want
 
 
@@ -360,19 +409,23 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 class TestGolden:
     """Pruned candidates recorded by tests/data/make_spot_golden.py stay identical."""
 
-    @pytest.mark.parametrize("case", ["bpe", "char", "dense"])
+    @pytest.mark.parametrize("case", ["bpe", "char", "dense", "dense_capped"])
     def test_pruned_candidates_unchanged(self, case):
+        # dense_capped is the dense case's search again, under its own cap
+        name, _, capped = case.partition("_")
         with open(os.path.join(GOLDEN, "spot_golden.json"), encoding="utf-8") as fh:
-            golden = json.load(fh)[case]
+            golden = json.load(fh)[name]
+        run = golden["capped"] if capped else golden
         entries = [
             BiasingEntry(canonical=word, transcriptions=(tuple(seq),))
             for word, seq in golden["entries"]
         ]
         graph = build_graph(entries, blank_id=golden["blank_id"])
         lp = load_logprobs(os.path.join(GOLDEN, golden["matrix"]))
-        got = spot(lp, graph, SpotterConfig(**golden["config"]))
+        with max_active(run["max_active"]):
+            got = spot(lp, graph, SpotterConfig(**golden["config"]))
         assert [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in got] == (
-            golden["candidates"]
+            run["candidates"]
         )
 
 
