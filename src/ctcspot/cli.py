@@ -256,11 +256,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
         )
     except InvalidValueError as exc:
         raise _UsageError(exc) from None
-    if math.isinf(cfg.beam_thr):
-        # an infinite beam is the exhaustive search, which has no memory bound
-        raise _UsageError("--beam-thr must be finite")
     vocab = _load_vocab(args)
     graph = load_graph(args.graph, vocab)
+    if not graph.canonicals:
+        logger.warning("%s has no entries: biasing is off", args.graph)
     records = load_manifest(args.manifest)
     # a pool starts all its processes at the first task: no more than there are utterances
     workers = min(args.workers, len(records))

@@ -136,25 +136,17 @@ class LogProbMatrix:
 
 @dataclass(frozen=True)
 class SpotterConfig:
-    """Decoding hyperparameters; thresholds live in the natural-log domain.
+    """The two score weights, in the natural-log domain.
 
-    NaN is rejected in every field, the weights must be finite and ctc_w
-    positive (0 would weight a zero-probability greedy word or blank to NaN).
-    Infinite thresholds stay legal: gamma_thr=-inf admits every first token
-    and beam_thr=inf keeps every hypothesis apart, so
-    SpotterConfig(beta_thr=0.0, gamma_thr=-inf, beam_thr=inf) is the
-    exhaustive search (no memory bound).  Each field is also a `decode`
-    flag, --<field-with-dashes>, whose help is the field's metadata.
+    NaN is rejected in both fields, both must be finite and ctc_w positive
+    (0 would weight a zero-probability greedy word or blank to NaN).  The
+    search bounds are not configured here: they are module constants of
+    ctcspot.spotter.  Each field is also a `decode` flag,
+    --<field-with-dashes>, whose help is the field's metadata.
     """
 
     cb_w: float = field(default=3.0, metadata={"help": "per-emission word bonus"})
     ctc_w: float = field(default=0.5, metadata={"help": "weight on greedy word scores"})
-    beta_thr: float = field(default=math.log(0.80), metadata={
-        "help": "log blank prob above which empty hypotheses skip the frame"})
-    gamma_thr: float = field(default=math.log(0.001), metadata={
-        "help": "log prob gate on a word's first token"})
-    beam_thr: float = field(default=7.0, metadata={
-        "help": "beam width below the frame-best score (finite)"})
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -164,10 +156,6 @@ class SpotterConfig:
             raise InvalidValueError("cb_w and ctc_w must be finite")
         if self.ctc_w <= 0:
             raise InvalidValueError("ctc_w must be > 0")
-        if self.beta_thr > 0 or self.gamma_thr > 0:
-            raise InvalidValueError("log-domain thresholds must be <= 0")
-        if self.beam_thr <= 0:
-            raise InvalidValueError("beam_thr must be > 0")
 
 
 @dataclass(frozen=True)

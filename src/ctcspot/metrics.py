@@ -194,9 +194,10 @@ def evaluate(
     entry counts once.
     """
     targets = [w for w in map(canonical_form, biasing_words) if w]
+    phrases = [w for w in targets if " " in w]  # the only entries that can fuse
 
     def fused(text: str) -> list[str]:
-        return fuse_phrases(_words(text), targets)
+        return fuse_phrases(_words(text), phrases)
 
     per_word = score_context_words(
         (op for ref, hyp in pairs for op in align_words(fused(ref), fused(hyp))), targets

@@ -17,6 +17,14 @@ from .core import LogProbMatrix, SpotterConfig
 from .errors import DimensionMismatchError
 from .graph import ContextGraph
 
+# The search bounds, in the natural-log domain.  spot reads them on each
+# call, so the tests can patch them off for the exhaustive search.  The
+# fresh empty hypothesis sits out a frame whose blank log-prob is above
+# _BETA_THR, and seeds only the first tokens at least _GAMMA_THR likely.
+_BETA_THR = math.log(0.80)
+_GAMMA_THR = math.log(0.001)
+# the beam: states further than this below the frame's best score are dropped
+_BEAM_THR = 7.0
 # histogram pruning, as in the max_active option of WFST decoders: with a
 # finite beam, at most this many states stay live after each frame.  64 is
 # above every live-state peak measured on the long_bpe and cli_corpus
@@ -43,14 +51,16 @@ def spot(
 
     Returns raw candidates, deduplicated to the best score per
     (entry, start_frame, end_frame) and sorted by frame interval; overlap
-    resolution is find_best_hyps' job.  With its thresholds off,
-    SpotterConfig(beta_thr=0.0, gamma_thr=-inf, beam_thr=inf), the search
-    is exhaustive (beta_thr=0 skips no frame, as no log-prob is above 0)
-    and the best score per candidate equals the brute-force oracle's.
+    resolution is find_best_hyps' job.  cfg gives the bonus cb_w; the
+    search bounds are the module constants _BETA_THR, _GAMMA_THR, _BEAM_THR
+    and _MAX_ACTIVE.  With the first three off (0, -inf and inf, as the
+    tests patch them) the search is exhaustive (a beta of 0 skips no frame,
+    as no log-prob is above 0) and the best score per candidate equals the
+    brute-force oracle's.
 
     A live state is a list [node, blank_seen, score, start].  With a
     finite beam states merge on the int key node << 1 | blank_seen, as in
-    beam search; with beam_thr=inf the key is (node, blank_seen, start),
+    beam search; with an infinite beam the key is (node, blank_seen, start),
     which merges only hypotheses with identical futures and keeps the
     unbounded search exact yet polynomial.  A merge keeps the best score,
     ties to the earlier start; a candidate keeps its best score, and -inf
@@ -62,8 +72,8 @@ def spot(
     sorted by (start, end, entry).
 
     The fresh empty hypothesis sits out a frame whose blank log-prob is
-    above beta_thr, and seeds only the root children whose log-prob is at
-    least gamma_thr.  Both tests run once for the whole matrix, before the
+    above _BETA_THR, and seeds only the root children whose log-prob is at
+    least _GAMMA_THR.  Both tests run once for the whole matrix, before the
     frame loop, and both compare in float64 as a scalar test on Python
     floats would (NumPy 2 would compare a float32 column with a Python
     float in float32).
@@ -73,17 +83,18 @@ def spot(
     first, then the earlier start, the smaller node, and blank_seen False
     before True.  States are unique per (node, blank_seen), so the order is
     total and the kept set does not depend on the order moves are made in.
-    With beam_thr=inf there is no cap, so the exhaustive search stays exact.
+    With an infinite beam there is no cap, so the exhaustive search stays
+    exact.
 
     One shortcut leaves the result unchanged: a move is offered for
     merging only if it scores at least lo = max(0, best score offered so
-    far this frame) - beam_thr, the fresh empty hypothesis counting as 0;
+    far this frame) - _BEAM_THR, the fresh empty hypothesis counting as 0;
     end-of-word moves are recorded whatever their score.  This is lossless
     because lo never exceeds the frame's final beam cutoff, which is the
     final lo, so a dropped move would have been filtered by the beam or
     lost its merge to a higher score.  The states that survive the beam
     are therefore the same with or without the shortcut, and the cap ranks
-    only those.  With beam_thr=inf lo stays -inf.
+    only those.  With an infinite beam lo stays -inf.
     """
     if cfg is None:
         cfg = SpotterConfig()
@@ -102,16 +113,16 @@ def spot(
     root_tokens = np.array(token_ids[1:first_child[1]], dtype=np.intp)
 
     cb_w = cfg.cb_w
-    beam = cfg.beam_thr
+    beam = _BEAM_THR
     # a beam bounds the live states by merging equal ones; with no beam
     # there is no bound to keep, and hypotheses stay apart per start
     merge_starts = beam < math.inf
     max_active = _MAX_ACTIVE if merge_starts else math.inf
 
     # the blank-skip test and the first-token gate for every frame at once
-    seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > cfg.beta_thr))
+    seeded = np.flatnonzero(~(values[:, blank].astype(np.float64) > _BETA_THR))
     first = values[np.ix_(seeded, root_tokens)].astype(np.float64)
-    rows, cols = np.nonzero(first >= cfg.gamma_thr)
+    rows, cols = np.nonzero(first >= _GAMMA_THR)
     gate_lps = first[rows, cols].tolist()
     gate_nodes = (cols + 1).tolist()
     # frame t seeds gate_nodes[cuts[t]:cuts[t + 1]], in root-children order
@@ -136,11 +147,9 @@ def spot(
             lo = score - beam
 
     def record(entry: int, start: int, end: int, score: float) -> None:
-        if math.isinf(score):
-            return  # unreachable path (some emission had probability zero)
+        # a -inf score (some emission had probability zero) beats no default
         key = (start, end, entry)
-        prev = spotted.get(key)
-        if prev is None or score > prev:
+        if score > spotted.get(key, -math.inf):
             spotted[key] = score
 
     for t in range(frames):
@@ -187,7 +196,7 @@ def spot(
                 if entry >= 0:
                     record(entry, start, t, score)
 
-        # the final lo is the beam cutoff max(0, frame best) - beam_thr
+        # the final lo is the beam cutoff max(0, frame best) - _BEAM_THR
         active = [state for state in current.values() if state[2] >= lo]
         if len(active) > max_active:
             active = heapq.nlargest(max_active, active, key=_rank)

@@ -1,10 +1,26 @@
-"""Shared builders for random matrices and small vocabularies."""
+"""Shared builders for random matrices and small vocabularies, and the
+search-bound patch."""
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 
-from ctcspot import LogProbMatrix, Vocabulary
+from ctcspot import LogProbMatrix, Vocabulary, spotter
+
+# every bound off: no frame skipped, every first token admitted, no beam
+# (and so no live-state cap): spot is then the exhaustive search
+EXHAUSTIVE = {"beta": 0.0, "gamma": -math.inf, "beam": math.inf}
+
+
+def search_bounds(beta: float | None = None, gamma: float | None = None,
+                  beam: float | None = None, cap: int | None = None):
+    """Patch spot's search bounds, the spotter module constants _BETA_THR,
+    _GAMMA_THR, _BEAM_THR and _MAX_ACTIVE; a bound left None keeps its value."""
+    bounds = {"_BETA_THR": beta, "_GAMMA_THR": gamma, "_BEAM_THR": beam, "_MAX_ACTIVE": cap}
+    return mock.patch.multiple(spotter, **{k: v for k, v in bounds.items() if v is not None})
 
 
 def log_softmax_rows(x: np.ndarray) -> np.ndarray:

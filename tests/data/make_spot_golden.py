@@ -10,8 +10,10 @@ Writes three normalized matrices and one JSON file next to this script:
   words, searched with a 2500-entry trie, in the shape of the benchmark's
   dense_char workload.
 - spot_golden.json: per case, the matrix file, the biasing entries as
-  token-id sequences, the blank id, the spotter config, the live-state
-  cap searched with (`spotter._MAX_ACTIVE`) and the pruned `spot`
+  token-id sequences, the blank id, the bonus and the search bounds
+  (`spotter._BETA_THR`, `_GAMMA_THR` and `_BEAM_THR`, recorded as
+  beta_thr, gamma_thr and beam_thr), the live-state cap searched with
+  (`spotter._MAX_ACTIVE`) and the pruned `spot`
   candidates as (entry id, start frame, end frame, score).  Each case is
   searched with a cap above its peak, so the cap never binds; the dense
   case also holds, under `capped`, its search again at the module's cap,
@@ -196,9 +198,9 @@ def main() -> None:
             "blank_id": blank,
             "config": {
                 "cb_w": cfg.cb_w,
-                "beta_thr": cfg.beta_thr,
-                "gamma_thr": cfg.gamma_thr,
-                "beam_thr": cfg.beam_thr,
+                "beta_thr": spotter._BETA_THR,
+                "gamma_thr": spotter._GAMMA_THR,
+                "beam_thr": spotter._BEAM_THR,
             },
             "entries": [[e.canonical, list(e.transcriptions[0])] for e in entries],
             **_search(lp, graph, cfg, UNCAPPED),

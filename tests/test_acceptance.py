@@ -12,12 +12,18 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import char_vocab, log_softmax_rows, one_hot_matrix, random_matrix
+from conftest import (
+    EXHAUSTIVE,
+    char_vocab,
+    log_softmax_rows,
+    one_hot_matrix,
+    random_matrix,
+    search_bounds,
+)
 from ctcspot import (
     BiasingEntry,
     LogProbMatrix,
@@ -36,9 +42,6 @@ from ctcspot import (
 from ctcspot.cli import main as cli_main
 from ctcspot.metrics import align_words
 from oracle import best_path_score, levenshtein_distance, reference_greedy_decode
-
-# every threshold off: no frame skipped, every first token admitted, no beam
-EXHAUSTIVE = SpotterConfig(beta_thr=0.0, gamma_thr=-math.inf, beam_thr=math.inf)
 
 
 @pytest.fixture
@@ -86,11 +89,11 @@ def test_criterion_01_exhaustive_search_matches_path_oracle(criterion):
             cb_w = float(rng.choice([0.0, 1.5, 3.0]))
             entries = _random_entries(rng, width, 3)
             graph = build_graph(entries, blank_id=0)
-            cfg = replace(EXHAUSTIVE, cb_w=cb_w)
-            got = {
-                (c.entry_id, c.start_frame, c.end_frame): c.score
-                for c in spot(lp, graph, cfg)
-            }
+            with search_bounds(**EXHAUSTIVE):
+                got = {
+                    (c.entry_id, c.start_frame, c.end_frame): c.score
+                    for c in spot(lp, graph, SpotterConfig(cb_w=cb_w))
+                }
             expect = {}
             for eid, ent in enumerate(entries):
                 labels = ent.transcriptions[0]
@@ -137,7 +140,8 @@ def test_criterion_02_pruning_is_lossless_on_peaked_frames(criterion):
                 entries = [BiasingEntry(canonical="w0", transcriptions=((1,),))]
             graph = build_graph(entries, blank_id=0)
             fast = spot(lp, graph, pruned_cfg)
-            full = spot(lp, graph, EXHAUSTIVE)
+            with search_bounds(**EXHAUSTIVE):
+                full = spot(lp, graph, pruned_cfg)
             assert fast == full
             assert find_best_hyps(fast) == find_best_hyps(full)
 
@@ -355,10 +359,11 @@ def test_criterion_07_bonus_sweep_trades_precision_for_recall(criterion):
         baseline_sets = None
         accepted_counts, tps, fps, fns, precisions, recalls, wers = [], [], [], [], [], [], []
         for c in range(6):
-            cfg = replace(EXHAUSTIVE, cb_w=float(c))
+            cfg = SpotterConfig(cb_w=float(c))
             pairs, accepted, resolved = [], 0, {}
             for utt_id, ref, lp in corpus:
-                greedy, winners, result = _pipeline(lp, graph, vocab, cfg)
+                with search_bounds(**EXHAUSTIVE):
+                    greedy, winners, result = _pipeline(lp, graph, vocab, cfg)
                 resolved[utt_id] = {(w.word, w.start_frame, w.end_frame) for w in winners}
                 for d in result.decisions:
                     if math.isfinite(d.greedy_score_sum):

@@ -346,22 +346,32 @@ class TestDecode:
         assert code == 3
         assert [r["id"] for r in read_rows(out)] == ["u2"]
 
-    def test_bad_threshold_is_usage_error(self, corpus, capsys):
-        code, _ = self.decode(corpus, extra=["--beam-thr", "-1"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+    def test_graph_without_entries_warns_that_biasing_is_off(self, corpus, caplog, capsys):
+        (corpus / "bad.txt").write_text("qqq\nzz9\n", encoding="utf-8")
+        empty = corpus / "empty.graph"
+        assert main(["build-graph", *args_vocab(corpus),
+                     "--context-list", str(corpus / "bad.txt"), "--output", str(empty)]) == 3
+        assert "0 entries" in capsys.readouterr().out
+        caplog.clear()
+        code, out = self.decode(corpus, extra=["--graph", str(empty)])
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"{empty} has no entries: biasing is off"]
+        rows = read_rows(out)
+        assert [r["id"] for r in rows] == ["u1", "u2"]
+        assert all(r["merged_text"] == r["greedy_text"] and r["candidates"] == [] for r in rows)
+        # a graph with entries decodes without a warning
+        caplog.clear()
+        assert self.decode(corpus)[0] == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--beam-thr", "nan", "beam_thr must not be NaN"),
-            ("--gamma-thr", "nan", "gamma_thr must not be NaN"),
             ("--cb-w", "inf", "cb_w and ctc_w must be finite"),
             ("--ctc-w", "0", "ctc_w must be > 0"),
             ("--workers", "0", "--workers must be at least 1, got 0"),
             ("--workers", "-1", "--workers must be at least 1, got -1"),
-            # an infinite beam is the exhaustive search, which has no memory bound
-            ("--beam-thr", "inf", "--beam-thr must be finite"),
         ],
     )
     def test_non_finite_config_is_usage_error(self, corpus, capsys, flag, value, message):
@@ -393,15 +403,26 @@ class TestDecode:
         assert sizes == pools
         assert pooled.read_bytes() == serial.read_bytes()
 
-    def test_no_pruning_flag_is_usage_error(self, corpus, capsys):
-        # exhaustive search has no memory bound; only the library offers it
+    def test_bad_threshold_is_usage_error(self, corpus, capsys):
+        # the beam threshold is a module constant: any value given for it,
+        # a negative one included, is refused before anything is decoded
         with pytest.raises(SystemExit) as exc:
-            self.decode(corpus, extra=["--no-pruning"])
+            self.decode(corpus, extra=["--beam-thr", "-1"])
         assert exc.value.code == 1
+        assert "error" in capsys.readouterr().err
         assert not (corpus / "out.jsonl").exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --no-pruning" in captured.err
+
+    def test_no_pruning_flag_is_usage_error(self, corpus, capsys):
+        # exhaustive search has no memory bound, and the search bounds are
+        # module constants: no flag turns pruning off or moves a bound
+        for flag in ("--no-pruning", "--beta-thr", "--gamma-thr", "--beam-thr"):
+            with pytest.raises(SystemExit) as exc:
+                self.decode(corpus, extra=[flag, "inf"])
+            assert exc.value.code == 1
+            assert not (corpus / "out.jsonl").exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -409,7 +430,7 @@ class TestDecode:
         assert exc.value.code == 0
         options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert sorted(options) == [
-            "--beam-thr", "--beta-thr", "--blank-id", "--cb-w", "--ctc-w", "--gamma-thr",
+            "--blank-id", "--cb-w", "--ctc-w",
             "--graph", "--manifest", "--mode", "--output", "--vocab", "--workers",
         ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from ctcspot import (
     tokenize,
     write_logprobs,
 )
-from ctcspot import core
+from ctcspot import core, spotter
 
 
 class TestVocabulary:
@@ -259,28 +260,27 @@ class TestLogProbMatrixBlocks:
 class TestSpotterConfig:
     def test_defaults(self):
         cfg = SpotterConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["cb_w", "ctc_w"]
         assert cfg.cb_w == 3.0
         assert cfg.ctc_w == 0.5
-        assert math.isclose(cfg.beta_thr, math.log(0.80))
-        assert math.isclose(cfg.gamma_thr, math.log(0.001))
-        assert cfg.beam_thr == 7.0
+        # the search bounds are spotter module constants, not config fields
+        assert math.isclose(spotter._BETA_THR, math.log(0.80))
+        assert math.isclose(spotter._GAMMA_THR, math.log(0.001))
+        assert spotter._BEAM_THR == 7.0
+        assert spotter._MAX_ACTIVE == 64
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"ctc_w": -0.1},
             {"ctc_w": 0.0},
-            {"beta_thr": 0.5},
-            {"gamma_thr": 0.5},
-            {"beam_thr": 0.0},
-            {"beam_thr": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidValueError):
             SpotterConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["cb_w", "ctc_w", "beta_thr", "gamma_thr", "beam_thr"])
+    @pytest.mark.parametrize("field", ["cb_w", "ctc_w"])
     def test_rejects_nan(self, field):
         with pytest.raises(InvalidValueError, match=f"{field} must not be NaN"):
             SpotterConfig(**{field: math.nan})
@@ -290,10 +290,6 @@ class TestSpotterConfig:
     def test_rejects_infinite_weights(self, field, value):
         with pytest.raises(InvalidValueError):
             SpotterConfig(**{field: value})
-
-    def test_infinite_thresholds_stay_legal(self):
-        cfg = SpotterConfig(beta_thr=-math.inf, gamma_thr=-math.inf, beam_thr=math.inf)
-        assert cfg.gamma_thr == -math.inf and cfg.beam_thr == math.inf
 
 
 class TestVocabularyFile:

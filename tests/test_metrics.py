@@ -18,6 +18,7 @@ from ctcspot import (
     score_context_words,
     wer,
 )
+from ctcspot import metrics
 from oracle import levenshtein_distance
 
 words_strategy = st.lists(st.sampled_from(["a", "b", "c", "gpu"]), max_size=8)
@@ -197,6 +198,32 @@ class TestEvaluate:
         report = evaluate([("b a", "b a")], ["b", "a"])
         keys = list(report.as_dict()["per_word"].keys())
         assert keys == sorted(keys)
+
+    def test_only_multi_word_entries_are_fused(self, monkeypatch):
+        # a one-word entry never fuses, so fusing with the multi-word ones
+        # alone scores the corpus as fusing with the whole list does
+        biasing = ["geforce", "GeForce RTX", "cuda", "tensor  core", "rtx"]
+        pairs = [
+            ("the geforce rtx has tensor core units", "the geforce rtx has tensor cores"),
+            ("cuda on a geforce", "cuda on a geforce rtx"),
+            ("rtx tensor core", "rtx tensor core"),
+        ]
+        whole = ["geforce", "geforce rtx", "cuda", "tensor core", "rtx"]
+        seen: list[list[str]] = []
+
+        def with_whole_list(words, phrases):
+            return fuse_phrases(words, whole)
+
+        def recording(words, phrases):
+            seen.append(list(phrases))
+            return fuse_phrases(words, phrases)
+
+        monkeypatch.setattr(metrics, "fuse_phrases", with_whole_list)
+        want = evaluate(pairs, biasing)
+        monkeypatch.setattr(metrics, "fuse_phrases", recording)
+        assert evaluate(pairs, biasing) == want
+        assert want.per_word["geforce rtx"] == {"tp": 1, "fp": 1, "fn": 0}
+        assert seen == [["geforce rtx", "tensor core"]] * (2 * len(pairs))
 
 
 class TestMineBiasingList:

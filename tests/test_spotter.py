@@ -5,15 +5,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import log_softmax_rows, one_hot_matrix, random_matrix
+from conftest import EXHAUSTIVE, log_softmax_rows, one_hot_matrix, random_matrix, search_bounds
 from ctcspot import (
     BiasingEntry,
     ContextGraph,
@@ -30,8 +28,7 @@ from ctcspot import (
 )
 from oracle import best_path_score
 
-# every threshold off: no frame skipped, every first token admitted, no beam
-EXHAUSTIVE = SpotterConfig(beta_thr=0.0, gamma_thr=-math.inf, beam_thr=math.inf)
+CB_W = SpotterConfig().cb_w
 
 
 def probs_matrix(rows: list[list[float]]) -> LogProbMatrix:
@@ -45,9 +42,12 @@ def entries_graph(*seqs: tuple[int, ...]):
     return entries, build_graph(entries, blank_id=0)
 
 
-def max_active(k: int):
-    """Search with a live-state cap of k instead of the module's."""
-    return mock.patch.object(spotter, "_MAX_ACTIVE", k)
+def exhaustive_spot(
+    lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig | None = None
+) -> list[SpottedCandidate]:
+    """spot with every search bound off."""
+    with search_bounds(**EXHAUSTIVE):
+        return spot(lp, graph, cfg)
 
 
 class TestAgainstOracle:
@@ -76,9 +76,10 @@ class TestAgainstOracle:
             entries = [BiasingEntry(canonical="w0", transcriptions=((1,),))]
         graph = build_graph(entries, blank_id=0)
 
-        cfg = replace(EXHAUSTIVE, cb_w=cb_w)
+        cfg = SpotterConfig(cb_w=cb_w)
         got = {
-            (c.entry_id, c.start_frame, c.end_frame): c.score for c in spot(lp, graph, cfg)
+            (c.entry_id, c.start_frame, c.end_frame): c.score
+            for c in exhaustive_spot(lp, graph, cfg)
         }
 
         expect: dict[tuple[int, int, int], float] = {}
@@ -103,18 +104,18 @@ class TestAgainstOracle:
         lp = probs_matrix([[0.1, 0.6, 0.2, 0.1], [0.1, 0.1, 0.7, 0.1]])
         entries = [BiasingEntry(canonical="w", transcriptions=((1,), (1, 2)))]
         graph = build_graph(entries, blank_id=0)
-        got = {(c.start_frame, c.end_frame): c.score for c in spot(lp, graph, EXHAUSTIVE)}
-        one = best_path_score(lp, (0, 1), [1], EXHAUSTIVE.cb_w, 0)
-        two = best_path_score(lp, (0, 1), [1, 2], EXHAUSTIVE.cb_w, 0)
+        got = {(c.start_frame, c.end_frame): c.score for c in exhaustive_spot(lp, graph)}
+        one = best_path_score(lp, (0, 1), [1], CB_W, 0)
+        two = best_path_score(lp, (0, 1), [1, 2], CB_W, 0)
         assert got[(0, 1)] == pytest.approx(max(one, two))
 
     def test_repeated_label_needs_separating_blank(self):
         _, graph = entries_graph((1, 1))
-        assert spot(one_hot_matrix([1, 1], width=2), graph, EXHAUSTIVE) == []
-        cands = spot(one_hot_matrix([1, 0, 1], width=2), graph, EXHAUSTIVE)
+        assert exhaustive_spot(one_hot_matrix([1, 1], width=2), graph) == []
+        cands = exhaustive_spot(one_hot_matrix([1, 0, 1], width=2), graph)
         assert [(c.start_frame, c.end_frame) for c in cands] == [(0, 2)]
         # log 1 + cb_w, blank log 1, log 1 + cb_w
-        assert cands[0].score == pytest.approx(2 * EXHAUSTIVE.cb_w)
+        assert cands[0].score == pytest.approx(2 * CB_W)
 
 
 class TestPruning:
@@ -122,7 +123,7 @@ class TestPruning:
         lp = probs_matrix([[0.9, 0.1]])  # blank at 0.9 > 0.8
         _, graph = entries_graph((1,))
         assert spot(lp, graph, SpotterConfig()) == []
-        full = spot(lp, graph, EXHAUSTIVE)
+        full = exhaustive_spot(lp, graph)
         assert [(c.start_frame, c.end_frame) for c in full] == [(0, 0)]
 
     def test_blank_below_threshold_still_seeds(self):
@@ -134,10 +135,10 @@ class TestPruning:
         lp = probs_matrix([[0.5, 1e-6, 0.499999]])
         _, graph = entries_graph((1,))
         assert spot(lp, graph, SpotterConfig()) == []
-        assert len(spot(lp, graph, EXHAUSTIVE)) == 1
+        assert len(exhaustive_spot(lp, graph)) == 1
 
     def test_gate_applies_only_to_first_tokens(self):
-        # the second token of [2, 1] dips below gamma_thr but must survive
+        # the second token of [2, 1] dips below the first-token gate but must survive
         lp = probs_matrix([[0.2, 0.05, 0.75], [0.6, 1e-6, 0.399999]])
         _, graph = entries_graph((2, 1))
         got = [(c.start_frame, c.end_frame) for c in spot(lp, graph, SpotterConfig())]
@@ -161,29 +162,31 @@ class TestPruning:
         ]
         graph = build_graph(entries, blank_id=vocab.blank_id)
         pruned = {(c.word, c.start_frame, c.end_frame) for c in spot(lp, graph, SpotterConfig())}
-        full = {(c.word, c.start_frame, c.end_frame) for c in spot(lp, graph, EXHAUSTIVE)}
+        full = {(c.word, c.start_frame, c.end_frame) for c in exhaustive_spot(lp, graph)}
         assert ("b", 0, 0) in pruned
         assert ("bc", 0, 2) in full
         assert ("bc", 0, 2) not in pruned
         # with no beam the floor is -inf too and discards nothing
-        wide = spot(lp, graph, SpotterConfig(beam_thr=math.inf))
+        with search_bounds(beam=math.inf):
+            wide = spot(lp, graph)
         assert ("bc", 0, 2) in {(c.word, c.start_frame, c.end_frame) for c in wide}
 
     @pytest.mark.parametrize("nudge", [1e-9, -1e-9])
     def test_first_token_gate_compares_in_float64(self, nudge):
-        # float32 cannot tell the log-prob from gamma_thr; float64 can, and
+        # float32 cannot tell the log-prob from the gate; float64 can, and
         # admits the token exactly when it is not below the threshold
         lp32 = np.float32(-3.0)
         gamma = float(lp32) + nudge
         assert np.float32(gamma) == lp32
         values = np.array([[math.log(0.5), lp32]], dtype=np.float32)
         _, graph = entries_graph((1,))
-        got = spot(LogProbMatrix(values=values), graph, SpotterConfig(gamma_thr=gamma))
+        with search_bounds(gamma=gamma):
+            got = spot(LogProbMatrix(values=values), graph)
         assert len(got) == (1 if float(lp32) >= gamma else 0)
 
     @pytest.mark.parametrize("nudge", [1e-9, -1e-9])
     def test_blank_skip_compares_in_float64(self, nudge):
-        # float32 cannot tell the blank log-prob from beta_thr; float64 can,
+        # float32 cannot tell the blank log-prob from beta; float64 can,
         # and the empty hypothesis sits the frame out exactly when the blank
         # log-prob is above the threshold
         lp32 = np.float32(-0.5)
@@ -191,28 +194,31 @@ class TestPruning:
         assert np.float32(beta) == lp32
         values = np.array([[lp32, -1.0]], dtype=np.float32)
         _, graph = entries_graph((1,))
-        got = spot(LogProbMatrix(values=values), graph, SpotterConfig(beta_thr=beta))
+        with search_bounds(beta=beta):
+            got = spot(LogProbMatrix(values=values), graph)
         assert len(got) == (0 if float(lp32) > beta else 1)
 
     def test_floor_discard_keeps_end_of_word_records(self):
-        # both candidates score below -beam_thr: the moves that end them are
-        # never offered to the next frame, yet each is still reported
-        cfg = SpotterConfig(cb_w=0.0, gamma_thr=-math.inf)
+        # both candidates score below minus the beam: the moves that end them
+        # are never offered to the next frame, yet each is still reported
+        cfg = SpotterConfig(cb_w=0.0)
         lp = probs_matrix([[0.4, 0.6 - 1e-5, 1e-5], [0.5, 0.5 - 1e-6, 1e-6]])
         _, graph = entries_graph((2,), (1, 2))
-        got = {(c.entry_id, c.start_frame, c.end_frame): c.score for c in spot(lp, graph, cfg)}
+        with search_bounds(gamma=-math.inf):
+            got = {(c.entry_id, c.start_frame, c.end_frame): c.score
+                   for c in spot(lp, graph, cfg)}
         for key, labels in (((0, 0, 0), [2]), ((1, 0, 1), [1, 2])):
-            assert got[key] < -cfg.beam_thr
+            assert got[key] < -spotter._BEAM_THR
             want = best_path_score(lp, key[1:], labels, cfg.cb_w, blank_id=0)
             assert got[key] == pytest.approx(want)
 
     def test_move_exactly_on_the_beam_cutoff_survives(self):
-        # the frame-0 move scores -2.0, exactly max(0, best) - beam_thr; the
+        # the frame-0 move scores -2.0, exactly max(0, best) - beam; the
         # beam keeps a score equal to its cutoff, so the word completes
         values = np.array([[-1.0, -2.0, -5.0], [-5.0, -5.0, 0.0]], dtype=np.float32)
         _, graph = entries_graph((1, 2))
-        cfg = SpotterConfig(cb_w=0.0, beam_thr=2.0, gamma_thr=-math.inf)
-        got = spot(LogProbMatrix(values=values), graph, cfg)
+        with search_bounds(beam=2.0, gamma=-math.inf):
+            got = spot(LogProbMatrix(values=values), graph, SpotterConfig(cb_w=0.0))
         assert [(c.start_frame, c.end_frame, c.score) for c in got] == [(0, 1, -2.0)]
 
     def test_merge_tie_keeps_the_earlier_start(self):
@@ -224,7 +230,7 @@ class TestPruning:
         cfg = SpotterConfig(cb_w=0.0)
         pruned = [(c.start_frame, c.end_frame) for c in spot(lp, graph, cfg)]
         assert pruned == [(0, 2)]
-        full = spot(lp, graph, replace(EXHAUSTIVE, cb_w=0.0))
+        full = exhaustive_spot(lp, graph, cfg)
         assert [(c.start_frame, c.end_frame) for c in full] == [(0, 2), (1, 2)]
 
     @pytest.mark.parametrize(
@@ -240,7 +246,7 @@ class TestPruning:
         _, graph = entries_graph((1, 2), (3, 4))
 
         def found(k):
-            with max_active(k):
+            with search_bounds(cap=k):
                 cands = spot(lp, graph, SpotterConfig())
             return {(c.word, c.start_frame, c.end_frame) for c in cands}
 
@@ -251,33 +257,38 @@ class TestPruning:
         rng = np.random.default_rng(11)
         lp = random_matrix(rng, 12, 5)
         _, graph = entries_graph((1, 2), (3,), (2, 4, 1), (1, 3))
-        beamed = replace(EXHAUSTIVE, beam_thr=7.0)
-        full = spot(lp, graph, EXHAUSTIVE), spot(lp, graph, beamed)
-        with max_active(1):
-            assert spot(lp, graph, EXHAUSTIVE) == full[0]
-            # the same cap binds on this input once the beam is finite
-            assert spot(lp, graph, beamed) != full[1]
+
+        def found(beam, cap):
+            with search_bounds(**{**EXHAUSTIVE, "beam": beam}, cap=cap):
+                return spot(lp, graph)
+
+        assert found(math.inf, 1) == found(math.inf, None)
+        # the same cap binds on this input once the beam is finite
+        assert found(7.0, 1) != found(7.0, None)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         lp = random_matrix(rng, 12, 5)
         _, graph = entries_graph((1, 2), (3,), (2, 4, 1))
-        for cfg in (SpotterConfig(), EXHAUSTIVE):
-            assert spot(lp, graph, cfg) == spot(lp, graph, cfg)
+        assert spot(lp, graph) == spot(lp, graph)
+        assert exhaustive_spot(lp, graph) == exhaustive_spot(lp, graph)
 
 
 def reference_spot(
-    lp: LogProbMatrix, graph: ContextGraph, cfg: SpotterConfig, cap: int
+    lp: LogProbMatrix, graph: ContextGraph, cb_w: float,
+    beta: float, gamma: float, beam: float, cap: int,
 ) -> list[tuple]:
-    """The documented rule, written plainly: every move scoring at least
-    -beam_thr is offered to state merging (best score, ties to the earlier
-    start; states that started on different frames stay apart when the beam
-    is infinite), then the frame's states are filtered by the beam and, with
-    a finite beam, the first `cap` of them kept in the order best score,
-    earlier start, smaller node, blank_seen False first."""
+    """The documented rule, written plainly: the fresh hypothesis sits out a
+    frame whose blank is above beta and seeds first tokens at least gamma
+    likely; every move scoring at least -beam is offered to state merging
+    (best score, ties to the earlier start; states that started on different
+    frames stay apart when the beam is infinite), then the frame's states
+    are filtered by the beam and, with a finite beam, the first `cap` of
+    them kept in the order best score, earlier start, smaller node,
+    blank_seen False first."""
     token_ids, entry_ids, first_child = graph.token_ids, graph.entry_ids, graph.first_child
     blank = graph.blank_id
-    keep_starts = math.isinf(cfg.beam_thr)
+    keep_starts = math.isinf(beam)
 
     def children(node: int) -> range:
         return range(first_child[node], first_child[node + 1])
@@ -286,31 +297,31 @@ def reference_spot(
     active: dict[tuple, tuple[float, int]] = {}
     for t, row in enumerate(lp.values.tolist()):
         moves = []  # (node, blank_seen, score, start)
-        if not row[blank] > cfg.beta_thr:
+        if not row[blank] > beta:
             for child in children(0):
-                if row[token_ids[child]] >= cfg.gamma_thr:
-                    moves.append((child, False, row[token_ids[child]] + cfg.cb_w, t))
+                if row[token_ids[child]] >= gamma:
+                    moves.append((child, False, row[token_ids[child]] + cb_w, t))
         for (node, seen, *_), (base, start) in active.items():
             moves.append((node, True, base + row[blank], start))
             tok = token_ids[node]
             if not seen:
-                moves.append((node, False, base + row[tok] + cfg.cb_w, start))
+                moves.append((node, False, base + row[tok] + cb_w, start))
             for child in children(node):
                 ctok = token_ids[child]
                 if ctok != tok or seen:
-                    moves.append((child, False, base + row[ctok] + cfg.cb_w, start))
+                    moves.append((child, False, base + row[ctok] + cb_w, start))
         current: dict[tuple, tuple[float, int]] = {}
         for node, seen, score, start in moves:
             entry = entry_ids[node]
             if not seen and entry >= 0 and score > -math.inf:
                 key = (entry, start, t)
                 spotted[key] = max(score, spotted.get(key, -math.inf))
-            if score < -cfg.beam_thr:
+            if score < -beam:
                 continue
             key = (node, seen, start) if keep_starts else (node, seen)
             if key not in current or (-score, start) < (-current[key][0], current[key][1]):
                 current[key] = (score, start)
-        cutoff = max([0.0] + [score for score, _ in current.values()]) - cfg.beam_thr
+        cutoff = max([0.0] + [score for score, _ in current.values()]) - beam
         active = {k: v for k, v in current.items() if v[0] >= cutoff}
         if not keep_starts:
             ranked = sorted(active.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))
@@ -348,16 +359,16 @@ class TestAgainstReference:
             lp = LogProbMatrix(values=values)
         else:
             lp = random_matrix(rng, frames, 28, scale=float(rng.uniform(0.5, 4.0)))
-        cfg = SpotterConfig(
-            cb_w=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
-            beta_thr=data.draw(st.sampled_from([math.log(0.8), -0.5, 0.0])),
-            gamma_thr=data.draw(st.sampled_from([math.log(0.001), -2.0, -math.inf])),
-            beam_thr=data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, math.inf])),
-        )
-        cap = data.draw(st.sampled_from([1, 2, 4, 64]))
-        want = reference_spot(lp, graph, cfg, cap)
-        with max_active(cap):
-            got = spot(lp, graph, cfg)
+        cb_w = data.draw(st.sampled_from([0.0, 1.0, 3.0]))
+        bounds = {
+            "beta": data.draw(st.sampled_from([math.log(0.8), -0.5, 0.0])),
+            "gamma": data.draw(st.sampled_from([math.log(0.001), -2.0, -math.inf])),
+            "beam": data.draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, math.inf])),
+            "cap": data.draw(st.sampled_from([1, 2, 4, 64])),
+        }
+        want = reference_spot(lp, graph, cb_w, **bounds)
+        with search_bounds(**bounds):
+            got = spot(lp, graph, SpotterConfig(cb_w=cb_w))
         assert [(c.start_frame, c.end_frame, c.entry_id, c.score) for c in got] == want
         assert all(c.word == graph.canonicals[c.entry_id] for c in got)
 
@@ -393,9 +404,10 @@ class TestEntryOrder:
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         lp = random_matrix(rng, int(rng.integers(1, 13)), 7, scale=float(rng.uniform(0.5, 4.0)))
-        cfg = data.draw(st.sampled_from([SpotterConfig(cb_w=1.0), EXHAUSTIVE]))
+        cb_w, bounds = data.draw(st.sampled_from([(1.0, {}), (CB_W, EXHAUSTIVE)]))
+        cfg = SpotterConfig(cb_w=cb_w)
         # a cap of 2 binds often, so its tie order decides which states live
-        with max_active(data.draw(st.sampled_from([2, 64]))):
+        with search_bounds(cap=data.draw(st.sampled_from([2, 64])), **bounds):
             want = [(c.start_frame, c.end_frame, c.entry_id, c.word, c.score)
                     for c in spot(lp, graph, cfg)]
             got = [(c.start_frame, c.end_frame, perm[c.entry_id], c.word, c.score)
@@ -422,8 +434,10 @@ class TestGolden:
         ]
         graph = build_graph(entries, blank_id=golden["blank_id"])
         lp = load_logprobs(os.path.join(GOLDEN, golden["matrix"]))
-        with max_active(run["max_active"]):
-            got = spot(lp, graph, SpotterConfig(**golden["config"]))
+        config = golden["config"]
+        with search_bounds(beta=config["beta_thr"], gamma=config["gamma_thr"],
+                           beam=config["beam_thr"], cap=run["max_active"]):
+            got = spot(lp, graph, SpotterConfig(cb_w=config["cb_w"]))
         assert [[c.entry_id, c.start_frame, c.end_frame, c.score] for c in got] == (
             run["candidates"]
         )
@@ -549,9 +563,9 @@ class TestSpotterScores:
         _, graph = entries_graph((1,), (1, 2), (1, 2, 3))
         got = {
             (c.entry_id, c.start_frame, c.end_frame): c.score
-            for c in spot(lp, graph, EXHAUSTIVE)
+            for c in exhaustive_spot(lp, graph)
         }
-        unit = math.log(0.25) + EXHAUSTIVE.cb_w
+        unit = math.log(0.25) + CB_W
         assert got[(0, 0, 0)] == pytest.approx(unit)
         assert got[(1, 0, 1)] == pytest.approx(2 * unit)
         assert got[(2, 0, 2)] == pytest.approx(3 * unit)
