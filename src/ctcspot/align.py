@@ -71,10 +71,10 @@ def greedy_ctc_align(
     character-level inventory.  A word spans the first frame of its first run
     through the last frame of its last run; its score is ctc_w times the sum
     of argmax log-probs over all frames of its runs, repeats included.
-    ctc_w must be finite and > 0, as in SpotterConfig.
+    ctc_w must be finite and > 0 (at 0 a zero-probability word scores NaN).
     """
     if not 0 < ctc_w < math.inf:
-        SpotterConfig(ctc_w=ctc_w)  # raises InvalidValueError with the config's message
+        raise InvalidValueError(f"ctc_w must be finite and > 0, got {ctc_w}")
     if logprobs.vocab_size != vocab.size:
         raise DimensionMismatchError(
             f"matrix has {logprobs.vocab_size} columns, vocabulary has {vocab.size} tokens"

@@ -6,9 +6,9 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -27,6 +27,8 @@ _FLAG_NORMALIZED = 0x01
 _HEADER = struct.Struct("<4sBBHII")
 # float32 bytes exponentiated at a time when checking normalization: 64 rows at width 1024
 _VALIDATION_BLOCK_BYTES = 256 * 1024
+# a normalized row's probabilities sum to 1, its log-sum-exp within 1e-3 of 0
+_SUM_LO, _SUM_HI = math.exp(-1e-3), math.exp(1e-3)
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,12 @@ class LogProbMatrix:
     Validation takes one row-wise max: NaN propagates through it, so the
     same pass rejects NaN and values above 0.  An all -inf row (zero total
     probability) is rejected in every matrix: no token can be decoded from
-    it.  Normalization is then checked as the max-shifted
-    log(sum(exp(row - max))) + max, summed in float64.  The shifted rows are
-    exponentiated a block of about 256 KB at a time in one reused float32
-    buffer, so validation makes no whole-matrix temporary; the row sums are
-    the ones a whole-matrix pass gives, bit for bit.
+    it.  Normalization is then checked on the raw rows, which exp cannot
+    overflow as every value is <= 0: each row's float64 sum(exp(row)) must
+    lie within exp(+-1e-3), so a sum that underflows to 0 fails with no log
+    taken.  Rows are exponentiated a block of about 256 KB at a time in one
+    reused float32 buffer, so validation makes no whole-matrix temporary;
+    the row sums are the ones a whole-matrix pass gives, bit for bit.
     """
 
     values: np.ndarray
@@ -118,11 +121,9 @@ class LogProbMatrix:
             sums = np.empty(frames)
             for lo in range(0, frames, rows):
                 part = block[: frames - lo]
-                np.subtract(arr[lo:lo + rows], row_max[lo:lo + rows, None], out=part)
-                np.exp(part, out=part)
+                np.exp(arr[lo:lo + rows], out=part)
                 part.sum(axis=1, dtype=np.float64, out=sums[lo:lo + rows])
-            lse = np.log(sums) + row_max
-            if not np.all(np.abs(lse) <= 1e-3):
+            if not np.all((sums >= _SUM_LO) & (sums <= _SUM_HI)):
                 raise InvalidValueError("rows flagged normalized but log-sum-exp deviates from 0")
 
     @property
@@ -136,26 +137,23 @@ class LogProbMatrix:
 
 @dataclass(frozen=True)
 class SpotterConfig:
-    """The two score weights, in the natural-log domain.
+    """The word bonus, in the natural-log domain.
 
-    NaN is rejected in both fields, both must be finite and ctc_w positive
-    (0 would weight a zero-probability greedy word or blank to NaN).  The
-    search bounds are not configured here: they are module constants of
+    cb_w must be finite (NaN is rejected too).  ctc_w, the weight on greedy
+    word and blank scores, is a class constant, not a field: every caller
+    judges candidates with 0.5.  The search bounds are module constants of
     ctcspot.spotter.  Each field is also a `decode` flag,
     --<field-with-dashes>, whose help is the field's metadata.
     """
 
     cb_w: float = field(default=3.0, metadata={"help": "per-emission word bonus"})
-    ctc_w: float = field(default=0.5, metadata={"help": "weight on greedy word scores"})
+    ctc_w: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
-                raise InvalidValueError(f"{f.name} must not be NaN")
-        if math.isinf(self.cb_w) or math.isinf(self.ctc_w):
-            raise InvalidValueError("cb_w and ctc_w must be finite")
-        if self.ctc_w <= 0:
-            raise InvalidValueError("ctc_w must be > 0")
+        if math.isnan(self.cb_w):
+            raise InvalidValueError("cb_w must not be NaN")
+        if math.isinf(self.cb_w):
+            raise InvalidValueError("cb_w must be finite")
 
 
 @dataclass(frozen=True)

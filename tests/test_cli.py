@@ -368,8 +368,7 @@ class TestDecode:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--cb-w", "inf", "cb_w and ctc_w must be finite"),
-            ("--ctc-w", "0", "ctc_w must be > 0"),
+            ("--cb-w", "inf", "cb_w must be finite"),
             ("--workers", "0", "--workers must be at least 1, got 0"),
             ("--workers", "-1", "--workers must be at least 1, got -1"),
         ],
@@ -413,9 +412,9 @@ class TestDecode:
         assert not (corpus / "out.jsonl").exists()
 
     def test_no_pruning_flag_is_usage_error(self, corpus, capsys):
-        # exhaustive search has no memory bound, and the search bounds are
-        # module constants: no flag turns pruning off or moves a bound
-        for flag in ("--no-pruning", "--beta-thr", "--gamma-thr", "--beam-thr"):
+        # exhaustive search has no memory bound, and the search bounds and the
+        # greedy-score weight are constants: no flag turns pruning off or moves them
+        for flag in ("--no-pruning", "--beta-thr", "--gamma-thr", "--beam-thr", "--ctc-w"):
             with pytest.raises(SystemExit) as exc:
                 self.decode(corpus, extra=[flag, "inf"])
             assert exc.value.code == 1
@@ -430,7 +429,7 @@ class TestDecode:
         assert exc.value.code == 0
         options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert sorted(options) == [
-            "--blank-id", "--cb-w", "--ctc-w",
+            "--blank-id", "--cb-w",
             "--graph", "--manifest", "--mode", "--output", "--vocab", "--workers",
         ]
 

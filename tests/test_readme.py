@@ -1,5 +1,5 @@
-"""README.md against the code it documents: the Configuration table and the
-library quick start."""
+"""README.md against the code it documents: the Configuration table, the
+library quick start and the sweep table."""
 
 from __future__ import annotations
 
@@ -30,12 +30,30 @@ def test_configuration_table_lists_spotter_config_fields_and_defaults():
     assert [value(cell) for _, cell in rows] == [f.default for f in fields]
 
 
-def test_quick_start_runs_warning_free_and_prints_its_comment():
-    code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run python on args with the package importable; a RuntimeWarning is an error."""
     src = str(Path(ctcspot.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "gu -> gpu\n"
+    return proc
+
+
+def test_quick_start_runs_warning_free_and_prints_its_comment():
+    code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    assert run_python("-c", code).stdout == "gu -> gpu\n"
+
+
+def test_sweep_table_matches_a_sweep_of_the_demo_corpus(tmp_path):
+    # every column but the last, seconds, which varies from run to run
+    block = re.search(r"^\$ python3 scripts/sweep_cb_weight\.py .*?\n(.*?)```", README, re.S | re.M)
+    want = [line.split()[:5] for line in block.group(1).splitlines()]
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    demo = tmp_path / "demo"
+    run_python(str(scripts / "make_synthetic_data.py"), "--out-dir", str(demo),
+               "--utterances", "40")
+    out = run_python(str(scripts / "sweep_cb_weight.py"), "--data-dir", str(demo),
+                     "--out-dir", str(tmp_path / "sweep")).stdout
+    assert [line.split()[:5] for line in out.splitlines()] == want
