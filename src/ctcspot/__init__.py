@@ -49,7 +49,7 @@ from .graph import (
     tokenize,
     vocab_fingerprint,
 )
-from .merge import MergeDecision, MergeResult, merge_ctc, merge_transducer
+from .merge import MergeDecision, MergeResult, decode_utterance, merge_ctc, merge_transducer
 from .metrics import (
     EditOp,
     EvalReport,
@@ -94,6 +94,7 @@ __all__ = [
     "align_words",
     "build_graph",
     "compound_split",
+    "decode_utterance",
     "edit_distance",
     "evaluate",
     "expand_entries",

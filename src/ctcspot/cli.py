@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import math
@@ -17,8 +16,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .align import greedy_ctc_align, load_transducer_alignment
 from .alts import (
@@ -40,9 +37,8 @@ from .core import (
 )
 from .errors import DataError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
-from .merge import merge_transducer
+from .merge import decode_utterance
 from .metrics import DEFAULT_MAX_ACCURACY, DEFAULT_MIN_TERM_LEN, evaluate, mine_biasing_list
-from .spotter import find_best_hyps, spot
 
 logger = logging.getLogger("ctcspot")
 
@@ -92,9 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ctc", "transducer"), default="ctc",
                    help="transcript source the candidates are spliced into")
     p.add_argument("--workers", type=int, default=1, help="parallel utterance workers")
-    for f in dataclasses.fields(SpotterConfig):  # the search flags
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
-                       help=f.metadata["help"])
+    p.add_argument("--cb-w", type=float, default=SpotterConfig.cb_w,
+                   help="per-emission word bonus")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score decode results against manifest references")
@@ -200,11 +195,11 @@ def _failure(record: UtteranceRecord, exc: Exception) -> str:
 
 
 def _decode_task(record: UtteranceRecord) -> tuple[str | None, float, str | None]:
-    """Run the pipeline on one utterance: (JSON row, decode seconds, None),
+    """Run decode_utterance on one utterance: (JSON row, decode seconds, None),
     or (None, 0.0, failure line) when it fails.
 
-    The timer covers alignment, which checks the matrix width before the
-    search, spotting, and merging; file loads stay outside it.
+    The timer covers decode_utterance (alignment, which checks the matrix
+    width before the search, spotting, and merging); file loads stay outside it.
     """
     vocab, graph, cfg, mode = _WORK
     try:
@@ -216,12 +211,7 @@ def _decode_task(record: UtteranceRecord) -> tuple[str | None, float, str | None
             transducer = load_transducer_alignment(record.transducer_alignment_path)
 
         t0 = time.perf_counter()
-        greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
-        candidates = find_best_hyps(spot(lp, graph, cfg))
-        blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
-        result = merge_transducer(
-            transducer if transducer is not None else greedy, greedy, candidates, blank_scores
-        )
+        greedy, result = decode_utterance(lp, vocab, graph, cfg, transducer)
         elapsed = time.perf_counter() - t0
 
         row: dict = {"id": record.utterance_id, "greedy_text": greedy.text}
@@ -251,9 +241,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     try:
-        cfg = SpotterConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(SpotterConfig)}
-        )
+        cfg = SpotterConfig(cb_w=args.cb_w)
     except InvalidValueError as exc:
         raise _UsageError(exc) from None
     vocab = _load_vocab(args)

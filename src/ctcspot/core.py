@@ -6,7 +6,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterator
 
@@ -139,14 +139,13 @@ class LogProbMatrix:
 class SpotterConfig:
     """The word bonus, in the natural-log domain.
 
-    cb_w must be finite (NaN is rejected too).  ctc_w, the weight on greedy
-    word and blank scores, is a class constant, not a field: every caller
-    judges candidates with 0.5.  The search bounds are module constants of
-    ctcspot.spotter.  Each field is also a `decode` flag,
-    --<field-with-dashes>, whose help is the field's metadata.
+    cb_w must be finite (NaN is rejected too); `decode` sets it with
+    --cb-w.  ctc_w, the weight on greedy word and blank scores, is a class
+    constant, not a field: merge.decode_utterance judges candidates with
+    0.5.  The search bounds are module constants of ctcspot.spotter.
     """
 
-    cb_w: float = field(default=3.0, metadata={"help": "per-emission word bonus"})
+    cb_w: float = 3.0
     ctc_w: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:

@@ -1,13 +1,18 @@
-"""Splicing accepted candidates into greedy or transducer transcripts."""
+"""Decoding one utterance: spotting candidates and splicing the accepted ones
+into greedy or transducer transcripts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import AlignedWord, WordAlignment
+import numpy as np
+
+from .align import AlignedWord, WordAlignment, greedy_ctc_align
+from .core import LogProbMatrix, SpotterConfig, Vocabulary
 from .errors import DimensionMismatchError
-from .spotter import SpottedCandidate
+from .graph import ContextGraph
+from .spotter import SpottedCandidate, find_best_hyps, spot
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,35 @@ class MergeResult:
     text: str
     decisions: tuple[MergeDecision, ...]
     words: tuple[AlignedWord, ...]
+
+
+def decode_utterance(
+    logprobs: LogProbMatrix,
+    vocab: Vocabulary,
+    graph: ContextGraph,
+    cfg: SpotterConfig | None = None,
+    transducer: WordAlignment | None = None,
+) -> tuple[WordAlignment, MergeResult]:
+    """Spot the graph's words in one utterance and splice the winners in:
+    (greedy CTC alignment, merge result).
+
+    The candidates are judged against the greedy words and blank frames
+    weighted by cfg.ctc_w, and spliced into `transducer` when one is given,
+    else into the greedy words.  The greedy alignment runs first, so a
+    matrix of the wrong width fails with the vocabulary-width message.
+
+    Raises:
+        DimensionMismatchError: the matrix is not as wide as the vocabulary,
+            or a transducer word lies past its last frame.
+    """
+    cfg = cfg if cfg is not None else SpotterConfig()
+    greedy = greedy_ctc_align(logprobs, vocab, ctc_w=cfg.ctc_w)
+    candidates = find_best_hyps(spot(logprobs, graph, cfg))
+    blank_scores = cfg.ctc_w * logprobs.values[:, vocab.blank_id].astype(np.float64)
+    result = merge_transducer(
+        transducer if transducer is not None else greedy, greedy, candidates, blank_scores
+    )
+    return greedy, result
 
 
 def merge_ctc(

@@ -30,12 +30,12 @@ from ctcspot import (
     SpotterConfig,
     Vocabulary,
     build_graph,
+    decode_utterance,
     evaluate,
     expand_entries,
     find_best_hyps,
     fscore,
     greedy_ctc_align,
-    merge_ctc,
     spot,
     write_logprobs,
 )
@@ -193,13 +193,6 @@ def _gpu_fixture():
     return vocab, LogProbMatrix(values=values, normalized=True)
 
 
-def _pipeline(lp, graph, vocab, cfg):
-    winners = find_best_hyps(spot(lp, graph, cfg))
-    greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
-    blanks = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
-    return greedy, winners, merge_ctc(greedy, winners, blanks)
-
-
 def test_criterion_04_word_bonus_recovers_a_split_word(criterion):
     with criterion(4, "the word bonus recovers a word the greedy decode splits"):
         vocab, lp = _gpu_fixture()
@@ -208,7 +201,7 @@ def test_criterion_04_word_bonus_recovers_a_split_word(criterion):
         graph = build_graph(entries, blank_id=vocab.blank_id)
 
         cfg = SpotterConfig()
-        greedy, _, biased = _pipeline(lp, graph, vocab, cfg)
+        greedy, biased = decode_utterance(lp, vocab, graph, cfg)
         assert greedy.text == "the g p u"
         assert biased.text == "the gpu"
         accepted = [d for d in biased.decisions if d.accepted]
@@ -227,7 +220,7 @@ def test_criterion_04_word_bonus_recovers_a_split_word(criterion):
 
         # Without the per-token bonus the same candidate loses to the greedy
         # words it overlaps and nothing may change.
-        _, _, unbiased = _pipeline(lp, graph, vocab, SpotterConfig(cb_w=0.0))
+        _, unbiased = decode_utterance(lp, vocab, graph, SpotterConfig(cb_w=0.0))
         assert unbiased.text == "the g p u"
         assert not any(d.accepted for d in unbiased.decisions)
 
@@ -261,7 +254,7 @@ def test_criterion_05_poorly_fitting_candidate_is_rejected(criterion):
         entries = expand_entries(["cuda"], vocab)
         graph = build_graph(entries, blank_id=vocab.blank_id)
         cfg = SpotterConfig()
-        greedy, winners, result = _pipeline(lp, graph, vocab, cfg)
+        greedy, result = decode_utterance(lp, vocab, graph, cfg)
         assert greedy.text == "cloud"
         assert result.text == "cloud"
         rejected = [d for d in result.decisions if d.candidate.word == "cuda"]
@@ -363,8 +356,11 @@ def test_criterion_07_bonus_sweep_trades_precision_for_recall(criterion):
             pairs, accepted, resolved = [], 0, {}
             for utt_id, ref, lp in corpus:
                 with search_bounds(**EXHAUSTIVE):
-                    greedy, winners, result = _pipeline(lp, graph, vocab, cfg)
-                resolved[utt_id] = {(w.word, w.start_frame, w.end_frame) for w in winners}
+                    _, result = decode_utterance(lp, vocab, graph, cfg)
+                resolved[utt_id] = {
+                    (d.candidate.word, d.candidate.start_frame, d.candidate.end_frame)
+                    for d in result.decisions
+                }
                 for d in result.decisions:
                     if math.isfinite(d.greedy_score_sum):
                         # every decision must be far from its flip point
@@ -464,11 +460,9 @@ def test_criterion_09_long_utterance_stays_under_latency_budget(criterion):
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            winners = find_best_hyps(spot(lp, graph, cfg))
-            greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
-            blanks = cfg.ctc_w * lp.values[:, blank].astype(np.float64)
-            result = merge_ctc(greedy, winners, blanks)
+            _, result = decode_utterance(lp, vocab, graph, cfg)
             best = min(best, time.perf_counter() - t0)
+        winners = [d.candidate for d in result.decisions]
         assert {(w.word, w.start_frame, w.end_frame) for w in winners} == set(planted)
         assert [w.word for w in result.words] == [f"w{k}" for k in range(10)]
         assert best < 0.100

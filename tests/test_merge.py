@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import char_vocab, log_softmax_rows, random_matrix
 from ctcspot import (
     AlignedWord,
     DimensionMismatchError,
+    LogProbMatrix,
     SpottedCandidate,
+    SpotterConfig,
     WordAlignment,
+    build_graph,
+    decode_utterance,
+    expand_entries,
+    find_best_hyps,
+    greedy_ctc_align,
     merge_ctc,
     merge_transducer,
+    spot,
 )
 
 
@@ -263,3 +274,61 @@ class TestMergeTransducer:
         ctc = alignment(word("cpu", 0, 3, -4.0), frames=4)
         trans = alignment(word("see", 0, 3, -1.0))
         assert merge_transducer(trans, ctc, [cand("gpu", 1, 3, -2.0)], blanks(ctc)).text == "gpu"
+
+
+class TestDecodeUtterance:
+    """decode_utterance against the staged chain bench/worker.py's run_utterance
+    times, so the two cannot drift apart."""
+
+    @staticmethod
+    def staged(lp, vocab, graph, cfg, transducer):
+        best = find_best_hyps(spot(lp, graph, cfg))
+        greedy = greedy_ctc_align(lp, vocab, ctc_w=cfg.ctc_w)
+        blank_scores = cfg.ctc_w * lp.values[:, vocab.blank_id].astype(np.float64)
+        if transducer is None:
+            return greedy, merge_ctc(greedy, best, blank_scores)
+        return greedy, merge_transducer(transducer, greedy, best, blank_scores)
+
+    @staticmethod
+    def space_led_matrix(blank: float) -> LogProbMatrix:
+        """Space-led frames between blank-led ones: a candidate there overlaps
+        no greedy word and is judged against the blank mass, which is -inf
+        when the blank has probability zero."""
+        blank_led = [0.1, 0.1, 0.05, 0.05, 0.05, 0.65]
+        space_led = [0.2, 0.2, 0.05, 0.05, 0.5 - blank, blank]
+        with np.errstate(divide="ignore"):
+            values = np.log(np.array([blank_led] * 2 + [space_led] * 4 + [blank_led] * 2))
+        return LogProbMatrix(values=log_softmax_rows(values), normalized=True)
+
+    @pytest.mark.parametrize("mode", ["ctc", "transducer"])
+    def test_equals_the_staged_chain(self, mode):
+        vocab = char_vocab("abcd")
+        graph = build_graph(expand_entries(["ab", "bad", "cab", "dc"], vocab),
+                            blank_id=vocab.blank_id)
+        rng = np.random.default_rng(2828)
+        mats = [random_matrix(rng, int(rng.integers(5, 40)), vocab.size) for _ in range(20)]
+        mats += [self.space_led_matrix(0.0), self.space_led_matrix(0.05)]
+        accepted = rejected = blank_mass = minus_inf = 0
+        for cb_w in (0.0, 1.0, 3.0):
+            cfg = SpotterConfig(cb_w=cb_w)
+            for lp in mats:
+                transducer = None
+                if mode == "transducer":
+                    words = random_words(rng, lp.frames, "t")
+                    transducer = alignment(*words, frames=lp.frames)
+                got = decode_utterance(lp, vocab, graph, cfg, transducer)
+                assert got == self.staged(lp, vocab, graph, cfg, transducer)
+                decisions = got[1].decisions
+                accepted += sum(d.accepted for d in decisions)
+                rejected += sum(not d.accepted for d in decisions)
+                blank_mass += sum(not d.overlapped_words and math.isfinite(d.greedy_score_sum)
+                                  for d in decisions)
+                minus_inf += sum(d.greedy_score_sum == -math.inf for d in decisions)
+        assert accepted and rejected and blank_mass and minus_inf
+
+    def test_default_config_is_spotter_config(self):
+        vocab = char_vocab("abcd")
+        graph = build_graph(expand_entries(["ab"], vocab), blank_id=vocab.blank_id)
+        lp = random_matrix(np.random.default_rng(7), 20, vocab.size)
+        assert decode_utterance(lp, vocab, graph) == decode_utterance(
+            lp, vocab, graph, SpotterConfig())
