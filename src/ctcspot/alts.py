@@ -107,18 +107,19 @@ def spelling_variants(
     word: str,
     dictionary: WordCostDictionary | None,
     manual: Iterable[str],
-    auto_alts: bool,
 ) -> list[str]:
     """Every spelling of a word, in order: the word itself, its abbreviation
     split, its compound split (when a dictionary is given), then the manual
     spellings.  Manual spellings are taken in canonical_form; empty and
     repeated strings are dropped, first occurrence wins.
+
+    The list is a fixed point: passed back as the manual spellings, with the
+    same dictionary or none, its tail gives the same list, so a context list
+    written from it compiles to the same graph.
     """
-    variants: list[str | None] = [word]
-    if auto_alts:
-        variants.append(abbreviation_variant(word))
-        if dictionary is not None:
-            variants.append(compound_split(word, dictionary))
+    variants = [word, abbreviation_variant(word)]
+    if dictionary is not None:
+        variants.append(compound_split(word, dictionary))
     variants.extend(map(canonical_form, manual))
     return [v for v in dict.fromkeys(variants) if v]
 
@@ -128,22 +129,21 @@ def expand_entries(
     vocab: Vocabulary,
     dictionary: WordCostDictionary | None = None,
     manual_alts: Mapping[str, Sequence[str]] | None = None,
-    auto_alts: bool = True,
 ) -> list[BiasingEntry]:
     """Build biasing entries with every usable transcription variant.
 
     Words are taken in canonical_form; empty and repeated words are dropped,
-    first occurrence wins.  A word's variants are spelling_variants' list,
-    tokenized primary spelling first: a word whose primary spelling fails to
-    tokenize drops the whole entry, any other variant that fails is skipped,
-    each with a warning.  BiasingEntry drops repeated token sequences.
+    first occurrence wins.  A word's variants are spelling_variants' list
+    (the generated splits are always included), tokenized primary spelling
+    first: a word whose primary spelling fails to tokenize drops the whole
+    entry, any other variant that fails is skipped, each with a warning.  BiasingEntry drops repeated token sequences.
     """
     manual = manual_alts or {}
     entries: list[BiasingEntry] = []
     for word in dict.fromkeys(map(canonical_form, words)):
         if not word:
             continue
-        primary, *others = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
+        primary, *others = spelling_variants(word, dictionary, manual.get(word, ()))
         try:
             transcriptions = [tokenize(primary, vocab)]
         except UnsegmentableError as exc:

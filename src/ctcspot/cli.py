@@ -38,7 +38,7 @@ from .core import (
 from .errors import DataError, InvalidValueError
 from .graph import ContextGraph, build_graph, load_graph, save_graph
 from .merge import decode_utterance
-from .metrics import DEFAULT_MAX_ACCURACY, DEFAULT_MIN_TERM_LEN, evaluate, mine_biasing_list
+from .metrics import evaluate, mine_biasing_list
 
 logger = logging.getLogger("ctcspot")
 
@@ -64,8 +64,6 @@ def _add_vocab_args(p: argparse.ArgumentParser) -> None:
 def _add_alt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wordlist", default=None,
                    help="frequency-ranked word list enabling compound splits")
-    p.add_argument("--no-auto-alts", action="store_true",
-                   help="disable abbreviation and compound variants")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vocab_args(p)
     p.add_argument("--manifest", required=True, help="manifest holding reference text")
     p.add_argument("--output", required=True, help="mined term list to write")
-    p.add_argument("--min-len", type=int, default=DEFAULT_MIN_TERM_LEN,
-                   help="minimum term length in characters")
-    p.add_argument("--max-acc", type=float, default=DEFAULT_MAX_ACCURACY,
-                   help="keep terms recognized at most this fraction of the time")
     p.set_defaults(func=cmd_mine_list)
 
     p = sub.add_parser("gen-alts", help="write a context list expanded with alternative spellings")
@@ -160,13 +154,7 @@ def _load_vocab(args: argparse.Namespace) -> Vocabulary:
 def cmd_build_graph(args: argparse.Namespace) -> int:
     vocab = _load_vocab(args)
     words, manual, dictionary = _read_lists(args)
-    entries = expand_entries(
-        words,
-        vocab,
-        dictionary=dictionary,
-        manual_alts=manual,
-        auto_alts=not args.no_auto_alts,
-    )
+    entries = expand_entries(words, vocab, dictionary=dictionary, manual_alts=manual)
     dropped = len(words) - len(entries)
     if dropped:
         logger.error("%d of %d entries were unsegmentable and dropped", dropped, len(words))
@@ -232,7 +220,8 @@ def _decode_task(record: UtteranceRecord) -> tuple[str | None, float, str | None
             }
             for d in result.decisions
         ]
-        return json.dumps(row, ensure_ascii=False), elapsed, None
+        # a score that overflowed to inf fails its utterance: Infinity is not JSON
+        return json.dumps(row, ensure_ascii=False, allow_nan=False), elapsed, None
     except Exception as exc:  # one bad utterance must not kill the batch
         return None, 0.0, _failure(record, exc)
 
@@ -350,10 +339,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_list(args: argparse.Namespace) -> int:
-    try:
-        mine_biasing_list((), max_accuracy=args.max_acc)  # the threshold check, before any read
-    except InvalidValueError as exc:
-        raise _UsageError(exc) from None
     vocab = _load_vocab(args)
     records = load_manifest(args.manifest)
     if not records:
@@ -371,7 +356,7 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
             failed += 1
     if not pairs:
         raise InvalidValueError("no utterance had both reference text and a readable matrix")
-    mined = mine_biasing_list(pairs, min_len=args.min_len, max_accuracy=args.max_acc)
+    mined = mine_biasing_list(pairs)
     with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for term, _, _ in mined:
             fh.write(term + "\n")
@@ -381,10 +366,9 @@ def cmd_mine_list(args: argparse.Namespace) -> int:
 
 def cmd_gen_alts(args: argparse.Namespace) -> int:
     words, manual, dictionary = _read_lists(args)
-    auto_alts = not args.no_auto_alts
     with _replace_on_success(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for word in words:
-            variants = spelling_variants(word, dictionary, manual.get(word, ()), auto_alts)
+            variants = spelling_variants(word, dictionary, manual.get(word, ()))
             fh.write("\t".join(variants) + "\n")
     print(f"wrote {len(words)} entries -> {args.output}")
     return 0

@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import canonical_form
-from .errors import InvalidValueError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MIN_TERM_LEN = 3
-DEFAULT_MAX_ACCURACY = 0.5
+_MIN_TERM_LEN = 3  # mined terms are at least this many characters
+_MAX_ACCURACY = 0.5  # and recognized in at most this share of their occurrences
 
 
 @dataclass(frozen=True)
@@ -218,23 +217,17 @@ def evaluate(
     )
 
 
-def mine_biasing_list(
-    pairs: Sequence[tuple[str, str]],
-    min_len: int = DEFAULT_MIN_TERM_LEN,
-    max_accuracy: float = DEFAULT_MAX_ACCURACY,
-) -> list[tuple[str, int, int]]:
+def mine_biasing_list(pairs: Sequence[tuple[str, str]]) -> list[tuple[str, int, int]]:
     """Find reference terms the hypotheses keep getting wrong.
 
     Counts every reference word and every adjacent word pair, read and
     returned in canonical_form, so a hypothesis differing only in case
     matches; a term is kept when its recognition accuracy (exact matches
-    over occurrences) is at most max_accuracy and it is at least min_len
-    characters.
+    over occurrences) is at most _MAX_ACCURACY (0.5) and it is at least
+    _MIN_TERM_LEN (3) characters.
     Returns (term, occurrences, matches) sorted by frequency, most
-    frequent first, ties alphabetical.  max_accuracy must be in [0, 1].
+    frequent first, ties alphabetical.
     """
-    if not 0.0 <= max_accuracy <= 1.0:  # NaN fails both comparisons
-        raise InvalidValueError(f"max_accuracy must be in [0, 1], got {max_accuracy}")
     occurrences: dict[str, int] = {}
     matches: dict[str, int] = {}
     for ref_text, hyp_text in pairs:
@@ -253,7 +246,7 @@ def mine_biasing_list(
     mined = [
         (term, total, matches[term])
         for term, total in occurrences.items()
-        if len(term) >= min_len and matches[term] <= max_accuracy * total
+        if len(term) >= _MIN_TERM_LEN and matches[term] <= _MAX_ACCURACY * total
     ]
     mined.sort(key=lambda row: (-row[1], row[0]))
     return mined

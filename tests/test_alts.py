@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import char_vocab
 from ctcspot import (
@@ -17,6 +19,7 @@ from ctcspot import (
     load_wordlist,
 )
 from ctcspot.alts import spelling_variants
+from ctcspot.core import canonical_form
 
 
 @pytest.fixture
@@ -117,15 +120,31 @@ class TestCompoundSplit:
 
 class TestSpellingVariants:
     def test_order_and_duplicates(self, dictionary):
-        got = spelling_variants("gpu", dictionary, [" G P U", "gpu", "jeepu", "", "G  P  U"], True)
+        got = spelling_variants("gpu", dictionary, [" G P U", "gpu", "jeepu", "", "G  P  U"])
         assert got == ["gpu", "g p u", "jeepu"]
 
-    def test_auto_alts_disabled_keeps_manual(self, dictionary):
-        assert spelling_variants("gpu", dictionary, ["jeepu"], False) == ["gpu", "jeepu"]
-
     def test_compound_split_needs_a_dictionary(self, dictionary):
-        assert spelling_variants("hyperscale", None, (), True) == ["hyperscale"]
-        assert spelling_variants("hyperscale", dictionary, (), True)[1:] == ["hyper scale"]
+        assert spelling_variants("hyperscale", None, ()) == ["hyperscale"]
+        assert spelling_variants("hyperscale", dictionary, ())[1:] == ["hyper scale"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # words as the list parsers hand them over: in canonical_form, not empty
+        word=st.text("abcAB ", min_size=1, max_size=8).map(canonical_form).filter(bool),
+        pieces=st.lists(st.text("abc", min_size=2, max_size=3), min_size=2, unique=True),
+        manual=st.lists(st.text("abcAB \t", max_size=6), max_size=3),
+        with_dictionary=st.booleans(),
+        same_dictionary_again=st.booleans(),
+    )
+    def test_variants_fed_back_as_manual_give_the_same_list(
+        self, word, pieces, manual, with_dictionary, same_dictionary_again
+    ):
+        # gen-alts writes the tail as a row's alternatives; build-graph reads
+        # it back with no --wordlist or the same one and must see this list
+        d = WordCostDictionary(words=tuple(pieces)) if with_dictionary else None
+        variants = spelling_variants(word, d, manual)
+        again = d if same_dictionary_again else None
+        assert spelling_variants(word, again, variants[1:]) == variants
 
 
 class TestExpandEntries:
@@ -145,19 +164,12 @@ class TestExpandEntries:
 
     def test_manual_alts_appended(self):
         vocab = char_vocab("gpujise")
-        entries = expand_entries(
-            ["gpu"], vocab, manual_alts={"gpu": ("jipiju",)}, auto_alts=True
-        )
+        entries = expand_entries(["gpu"], vocab, manual_alts={"gpu": ("jipiju",)})
         assert len(entries[0].transcriptions) == 3  # word, char split, manual
-
-    def test_auto_alts_disabled(self):
-        vocab = char_vocab("gpu")
-        entries = expand_entries(["gpu"], vocab, auto_alts=False)
-        assert len(entries[0].transcriptions) == 1
 
     def test_duplicate_words_first_wins(self):
         vocab = char_vocab("gpu")
-        entries = expand_entries(["gpu", "GPU ", "gpu"], vocab, auto_alts=False)
+        entries = expand_entries(["gpu", "GPU ", "gpu"], vocab)
         assert len(entries) == 1
 
     def test_duplicate_token_sequences_dropped(self):
@@ -169,7 +181,7 @@ class TestExpandEntries:
     def test_primary_failure_drops_entry(self, caplog):
         vocab = char_vocab("gpu")
         with caplog.at_level("WARNING"):
-            entries = expand_entries(["xyz", "gpu"], vocab, auto_alts=False)
+            entries = expand_entries(["xyz", "gpu"], vocab)
         assert [e.canonical for e in entries] == ["gpu"]
         assert "xyz" in caplog.text
 
@@ -183,7 +195,7 @@ class TestExpandEntries:
 
     def test_empty_and_blank_words_skipped(self):
         vocab = char_vocab("gpu")
-        entries = expand_entries(["", "  ", "gpu"], vocab, auto_alts=False)
+        entries = expand_entries(["", "  ", "gpu"], vocab)
         assert len(entries) == 1
 
 

@@ -24,7 +24,7 @@ from ctcspot import (
     save_graph,
     write_logprobs,
 )
-from ctcspot import cli
+from ctcspot import cli, metrics
 from ctcspot.cli import main
 from ctcspot.core import _HEADER
 from ctcspot.graph import _G_HEADER
@@ -88,6 +88,14 @@ def read_rows(path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def help_options(command: str, capsys) -> list[str]:
+    """The options a subcommand's --help lists, --help itself left out."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return sorted(set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"})
+
+
 class TestBuildGraph:
     def test_writes_graph_and_stats(self, corpus, capsys):
         out = corpus / "graph.bin"
@@ -120,6 +128,11 @@ class TestBuildGraph:
         assert code == 3
         assert out.exists()
         assert "1 entries" in capsys.readouterr().out
+
+    def test_options(self, capsys):
+        assert help_options("build-graph", capsys) == [
+            "--blank-id", "--context-list", "--output", "--vocab", "--wordlist",
+        ]
 
 
 @pytest.mark.parametrize("command", ["build-graph"])
@@ -424,11 +437,7 @@ class TestDecode:
             assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_options(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["decode", "--help"])
-        assert exc.value.code == 0
-        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
-        assert sorted(options) == [
+        assert help_options("decode", capsys) == [
             "--blank-id", "--cb-w",
             "--graph", "--manifest", "--mode", "--output", "--vocab", "--workers",
         ]
@@ -544,19 +553,21 @@ class TestEval:
 
 
 class TestMineList:
-    def test_mines_misrecognized_terms(self, corpus, capsys):
+    def test_mines_misrecognized_terms(self, corpus, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 2)  # the fixture's terms are short
         out = corpus / "mined.txt"
         code = main(
             ["mine-list", *args_vocab(corpus),
              "--manifest", str(corpus / "manifest.jsonl"),
-             "--output", str(out), "--min-len", "2"]
+             "--output", str(out)]
         )
         # u1 greedy reads "bb" against reference "ab"; u2 is correct
         assert code == 0
         assert out.read_text().splitlines() == ["ab"]
         assert "mined 1 terms from 2 utterances" in capsys.readouterr().out
 
-    def test_row_without_text_is_partial(self, corpus):
+    def test_row_without_text_is_partial(self, corpus, monkeypatch):
+        monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 2)
         extra = {"id": "u3", "logprobs": "u1.bin"}
         with open(corpus / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(extra) + "\n")
@@ -564,7 +575,7 @@ class TestMineList:
         code = main(
             ["mine-list", *args_vocab(corpus),
              "--manifest", str(corpus / "manifest.jsonl"),
-             "--output", str(out), "--min-len", "2"]
+             "--output", str(out)]
         )
         assert code == 3
         assert out.exists()
@@ -578,32 +589,22 @@ class TestMineList:
         )
         assert code == 2
 
-    def test_max_accuracy_zero(self, corpus):
+    def test_max_accuracy_zero(self, corpus, monkeypatch):
+        monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 1)
+        monkeypatch.setattr(metrics, "_MAX_ACCURACY", 0.0)
         out = corpus / "mined.txt"
         code = main(
             ["mine-list", *args_vocab(corpus),
              "--manifest", str(corpus / "manifest.jsonl"),
-             "--output", str(out), "--min-len", "1", "--max-acc", "0"]
+             "--output", str(out)]
         )
         assert code == 0
         assert "a" not in out.read_text().splitlines()  # "a" was recognized
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "1.5"])
-    def test_max_accuracy_outside_unit_interval_is_usage_error(
-        self, corpus, capsys, monkeypatch, value
-    ):
-        monkeypatch.setattr(cli, "load_logprobs", lambda path: pytest.fail(f"read {path}"))
-        out = corpus / "mined.txt"
-        code = main(
-            ["mine-list", *args_vocab(corpus),
-             "--manifest", str(corpus / "manifest.jsonl"),
-             "--output", str(out), "--max-acc", value]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"ctcspot mine-list: error: max_accuracy must be in [0, 1], got {float(value)}\n"
-        )
-        assert not out.exists()
+    def test_options(self, capsys):
+        assert help_options("mine-list", capsys) == [
+            "--blank-id", "--manifest", "--output", "--vocab",
+        ]
 
 
 class TestGenAlts:
@@ -622,16 +623,6 @@ class TestGenAlts:
         ]
         assert "wrote 2 entries" in capsys.readouterr().out
 
-    def test_no_auto_alts(self, tmp_path):
-        (tmp_path / "ctx.txt").write_text("gpu\tjeepu\n", encoding="utf-8")
-        out = tmp_path / "expanded.txt"
-        code = main(
-            ["gen-alts", "--context-list", str(tmp_path / "ctx.txt"),
-             "--output", str(out), "--no-auto-alts"]
-        )
-        assert code == 0
-        assert out.read_text().splitlines() == ["gpu\tjeepu"]
-
     @pytest.mark.parametrize(
         "files, extra",
         [
@@ -647,6 +638,7 @@ class TestGenAlts:
         ids=["plain", "repeated-canonical", "wordlist"],
     )
     def test_output_feeds_back_into_build_graph(self, tmp_path, files, extra):
+        # the expanded list compiles to the same graph with no --wordlist or the same one
         (tmp_path / "vocab.txt").write_text(
             "".join(c + "\n" for c in "abcdefghijklmnopqrstuvwxyz ") + "<b>\n", encoding="utf-8"
         )
@@ -659,17 +651,23 @@ class TestGenAlts:
                      "--output", str(out), *extra]) == 0
         assert main(["build-graph", *vocab, "--context-list", str(tmp_path / "ctx.txt"),
                      "--output", str(tmp_path / "direct.bin"), *extra]) == 0
-        assert main(["build-graph", *vocab, "--context-list", str(out), "--no-auto-alts",
-                     "--output", str(tmp_path / "expanded.bin")]) == 0
-        assert (tmp_path / "expanded.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
+        for again in ([], extra) if extra else ([],):
+            assert main(["build-graph", *vocab, "--context-list", str(out), *again,
+                         "--output", str(tmp_path / "expanded.bin")]) == 0
+            assert (tmp_path / "expanded.bin").read_bytes() == (
+                tmp_path / "direct.bin"
+            ).read_bytes()
 
     def test_repeated_rows_accumulate_alternatives(self, tmp_path):
         (tmp_path / "ctx.txt").write_text("gpu\tgee pee you\ngpu\tgeepee\n", encoding="utf-8")
         out = tmp_path / "expanded.txt"
         code = main(["gen-alts", "--context-list", str(tmp_path / "ctx.txt"),
-                     "--output", str(out), "--no-auto-alts"])
+                     "--output", str(out)])
         assert code == 0
-        assert out.read_text().splitlines() == ["gpu\tgee pee you\tgeepee"]
+        assert out.read_text().splitlines() == ["gpu\tg p u\tgee pee you\tgeepee"]
+
+    def test_options(self, capsys):
+        assert help_options("gen-alts", capsys) == ["--context-list", "--output", "--wordlist"]
 
 
 class TestUsageErrors:
@@ -686,6 +684,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["decode", *args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl"),
                   *args_graph(corpus), "--output", str(out), *extra])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("build-graph", ["--no-auto-alts"]), ("gen-alts", ["--no-auto-alts"]),
+         ("mine-list", ["--min-len", "2"]), ("mine-list", ["--max-acc", "0.5"])],
+        ids=["build-graph-no-auto-alts", "gen-alts-no-auto-alts", "mine-list-min-len",
+             "mine-list-max-acc"],
+    )
+    def test_removed_flag_is_usage_error(self, corpus, command, flag):
+        # spelling expansion is always on and the mining thresholds are fixed
+        inputs = {
+            "build-graph": [*args_vocab(corpus), "--context-list", str(corpus / "ctx.txt")],
+            "gen-alts": ["--context-list", str(corpus / "ctx.txt")],
+            "mine-list": [*args_vocab(corpus), "--manifest", str(corpus / "manifest.jsonl")],
+        }[command]
+        out = corpus / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--output", str(out), *flag])
         assert exc.value.code == 1
         assert not out.exists()
 
@@ -902,6 +920,26 @@ class TestRareBadInputs:
         ]
         assert read_rows(corpus / "out.jsonl") == []
 
+    def test_score_overflowing_to_inf_fails_its_utterance(self, corpus, caplog):
+        # a bonus this large overflows every candidate score, and Infinity is
+        # not JSON; u3 is all blank, has no candidate and keeps its row
+        values = log_softmax_rows(np.log(np.array([[1e-9, 1e-9, 0.01, 0.99]] * 3)))
+        write_logprobs(LogProbMatrix(values=values, normalized=True), str(corpus / "u3.bin"))
+        with open(corpus / "manifest.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "u3", "logprobs": "u3.bin"}) + "\n")
+
+        def no_constant(name):
+            raise AssertionError(f"non-JSON constant {name} in the output")
+
+        assert self.decode(corpus, "--cb-w", "1e308") == 3
+        errors = self.errors(caplog)
+        assert [e.split(":")[0] for e in errors] == ["u1", "u2"]
+        for error in errors:
+            assert ": ValueError: Out of range float values are not JSON compliant" in error
+        with open(corpus / "out.jsonl", encoding="utf-8") as fh:
+            rows = [json.loads(line, parse_constant=no_constant) for line in fh]
+        assert [r["id"] for r in rows] == ["u3"]
+
     def test_graph_cut_inside_its_header(self, corpus, caplog):
         graph = corpus / "ctx.graph"
         graph.write_bytes(graph.read_bytes()[:_G_HEADER.size - 1])
@@ -965,7 +1003,7 @@ class TestRareBadInputs:
         assert not out.exists()
 
 
-def test_blank_id_zero_runs_every_command(corpus, capsys):
+def test_blank_id_zero_runs_every_command(corpus, capsys, monkeypatch):
     # the fixture's corpus with the blank moved to line 0 of the vocabulary
     # and to column 0 of each matrix; the last line, the space, is no blank
     (corpus / "vocab.txt").write_text("<b>\na\nb\n \n", encoding="utf-8")
@@ -985,8 +1023,9 @@ def test_blank_id_zero_runs_every_command(corpus, capsys):
     assert [r["greedy_text"] for r in rows] == ["bb", "a"]
     assert [r["merged_text"] for r in rows] == ["ab", "a"]
     mined = corpus / "mined.txt"
+    monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 2)
     assert main(["mine-list", *args_vocab(corpus), *blank, *manifest,
-                 "--output", str(mined), "--min-len", "2"]) == 0
+                 "--output", str(mined)]) == 0
     assert mined.read_text().splitlines() == ["ab"]
 
 
@@ -1016,7 +1055,8 @@ def test_whitespace_run_in_a_context_list_line_reads_as_one_space(corpus, capsys
     assert json.loads(report.read_text())["per_word"] == {"ab a": {"tp": 1, "fp": 0, "fn": 0}}
 
 
-def test_upper_case_reference_text_scores_as_lowercase(corpus):
+def test_upper_case_reference_text_scores_as_lowercase(corpus, monkeypatch):
+    monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 1)
     manifest = corpus / "manifest.jsonl"
     upper = corpus / "upper.jsonl"
     with open(upper, "w", encoding="utf-8") as fh:
@@ -1031,7 +1071,7 @@ def test_upper_case_reference_text_scores_as_lowercase(corpus):
         assert main(["eval", "--results", str(out), "--manifest", str(corpus / f"{name}.jsonl"),
                      "--context-list", str(corpus / "ctx.txt"), "--output", str(report)]) == 0
         assert main(["mine-list", *args_vocab(corpus), "--manifest",
-                     str(corpus / f"{name}.jsonl"), "--output", str(mined), "--min-len", "1"]) == 0
+                     str(corpus / f"{name}.jsonl"), "--output", str(mined)]) == 0
         written[name] = (report.read_bytes(), mined.read_bytes())
     assert written["upper"] == written["manifest"]
     assert json.loads(written["upper"][0])["per_word"] == {"ab": {"tp": 1, "fp": 0, "fn": 0}}

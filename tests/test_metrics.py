@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ctcspot import (
     EditOp,
-    InvalidValueError,
     align_words,
     edit_distance,
     evaluate,
@@ -248,27 +247,24 @@ class TestMineBiasingList:
         assert "token" not in terms
         assert "token three" in terms  # bigram missed its only occurrence
 
-    def test_max_accuracy_zero_keeps_only_never_matched(self):
+    def test_max_accuracy_zero_keeps_only_never_matched(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_MAX_ACCURACY", 0.0)
         pairs = [("gpu gpu", "gpu cpu")]
-        mined = mine_biasing_list(pairs, max_accuracy=0.0)
+        mined = mine_biasing_list(pairs)
         terms = {t for t, _, _ in mined}
         assert "gpu" not in terms  # matched once of two
         assert "gpu gpu" in terms
-
-    @pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5])
-    def test_max_accuracy_outside_unit_interval_is_rejected(self, value):
-        with pytest.raises(InvalidValueError, match=r"max_accuracy must be in \[0, 1\]"):
-            mine_biasing_list([("gpu", "cpu")], max_accuracy=value)
 
     def test_bigram_needs_both_matches(self):
         pairs = [("alpha beta", "alpha bexa")]
         mined = dict((t, (o, m)) for t, o, m in mine_biasing_list(pairs))
         assert mined["alpha beta"] == (1, 0)
 
-    def test_min_len_filters_short_terms(self):
+    def test_min_len_filters_short_terms(self, monkeypatch):
         pairs = [("ab cd", "xx yy")]
-        assert [t for t, _, _ in mine_biasing_list(pairs, min_len=3)] == ["ab cd"]
-        assert "ab" in [t for t, _, _ in mine_biasing_list(pairs, min_len=2)]
+        assert [t for t, _, _ in mine_biasing_list(pairs)] == ["ab cd"]  # the fixed 3 chars
+        monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 2)
+        assert "ab" in [t for t, _, _ in mine_biasing_list(pairs)]
 
     def test_sorted_by_occurrences_then_term(self):
         pairs = [
@@ -282,10 +278,12 @@ class TestMineBiasingList:
         pairs_sorted = [(o, t) for t, o, _ in mined]
         assert pairs_sorted == sorted(pairs_sorted, key=lambda x: (-x[0], x[1]))
 
-    def test_insertions_do_not_shift_positions(self):
+    def test_insertions_do_not_shift_positions(self, monkeypatch):
         # extra hyp words must not break the positional ref/op pairing
+        monkeypatch.setattr(metrics, "_MAX_ACCURACY", 1.0)
+        monkeypatch.setattr(metrics, "_MIN_TERM_LEN", 1)
         pairs = [("gpu fast", "oh gpu very fast wow")]
-        mined = mine_biasing_list(pairs, max_accuracy=1.0, min_len=1)
+        mined = mine_biasing_list(pairs)
         got = {t: (o, m) for t, o, m in mined}
         assert got["gpu"] == (1, 1)
         assert got["fast"] == (1, 1)
